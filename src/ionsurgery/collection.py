@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 CHUNK = 16384
-Z99 = float(norm.ppf(0.995))  # two-sided 99% Wilson interval
+Z99 = float(ndtri(0.995))  # two-sided 99% Wilson interval
 
 
 @dataclass(frozen=True)
@@ -55,53 +55,50 @@ class CollectionResult:
         return float(np.mean(self.counts))
 
 
-def _chunk_streams(seed: int, n_chunks: int):
-    return [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(n_chunks)]
+def _first_success_chunks(n_ions: int, p_entangle: float, trials: int, seed: int):
+    """Yield (trial slice, first-success rounds) for each Philox chunk in order."""
+    children = np.random.SeedSequence(seed).spawn(max(-(-trials // CHUNK), 1))
+    for i, child in enumerate(children):
+        rng = np.random.Generator(np.random.Philox(child))
+        rows = slice(i * CHUNK, min((i + 1) * CHUNK, trials))
+        yield rows, rng.geometric(p_entangle, size=(rows.stop - rows.start, n_ions))
 
 
 def simulate_collection(config: TrialConfig) -> CollectionResult:
     """Per-trial entangled counts after `attempts` retire-on-success rounds."""
-    n_chunks = -(-config.trials // CHUNK)
-    streams = _chunk_streams(config.seed, max(n_chunks, 1))
-    out = np.empty(config.trials, dtype=np.int64)
-    if config.p_entangle <= 0 or config.attempts == 0:
-        out[:] = 0
-        return CollectionResult(config, out)
-    done = 0
-    for rng in streams:
-        m = min(CHUNK, config.trials - done)
-        first = rng.geometric(config.p_entangle, size=(m, config.n_ions))
-        out[done:done + m] = (first <= config.attempts).sum(axis=1)
-        done += m
+    out = np.zeros(config.trials, dtype=np.int64)
+    if config.p_entangle > 0 and config.attempts > 0:
+        for rows, first in _first_success_chunks(config.n_ions, config.p_entangle,
+                                                 config.trials, config.seed):
+            out[rows] = (first <= config.attempts).sum(axis=1)
     return CollectionResult(config, out)
 
 
 def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
                       trials: int, seed: int) -> np.ndarray:
     """Per-trial attempt count at which the k_star-th ion success arrives."""
-    n_chunks = -(-trials // CHUNK)
-    streams = _chunk_streams(seed, max(n_chunks, 1))
     thresholds = np.empty(trials, dtype=np.int64)
-    done = 0
-    for rng in streams:
-        m = min(CHUNK, trials - done)
-        first = rng.geometric(p_entangle, size=(m, n_ions))
+    for rows, first in _first_success_chunks(n_ions, p_entangle, trials, seed):
         # k_star-th order statistic of the first-success rounds
-        thresholds[done:done + m] = np.partition(first, k_star - 1, axis=1)[:, k_star - 1]
-        done += m
+        thresholds[rows] = np.partition(first, k_star - 1, axis=1)[:, k_star - 1]
     return thresholds
+
+
+def _wilson_bounds(successes, trials: int, z: float):
+    """Wilson score bounds (lower, upper), clipped to [0, 1]; elementwise."""
+    phat = np.asarray(successes) / trials
+    denom = 1 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99):
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    phat = successes / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, float(center - half)), min(1.0, float(center + half))
+    lower, upper = _wilson_bounds(successes, trials, z)
+    return float(lower), float(upper)
 
 
 def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
@@ -135,13 +132,7 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
     if p_entangle <= 0:
         raise ValueError("p_entangle must be positive")
     t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
-    z = Z99
-    phat = np.arange(trials + 1) / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials ** 2)) / denom
-    upper = np.minimum(center + half, 1.0)
-    lower = np.maximum(center - half, 0.0)
+    lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
     c_lo = int(np.searchsorted(upper, p_ls, side="left"))
     c_hi = int(np.searchsorted(lower, p_ls, side="left"))
     lo = int(t[min(max(c_lo, 1), trials) - 1])

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purify import (
+    BASES,
+    RELATIONS,
+    SIDES,
     AcceptRule,
     Measure,
     PurificationCircuit,
@@ -29,10 +32,6 @@ from .quantum import (
     NoiseModel,
     stephenson_pair,
 )
-
-SIDES = ("A", "B")
-BASES = ("X", "Y", "Z")
-RELATIONS = ("coincident", "anticoincident")
 
 MIN_SUCCESS = 0.01  # circuits succeeding less often than this score zero
 
@@ -82,10 +81,13 @@ def resolve_input(spec) -> DensityMatrix:
     raise TypeError("input spec must be 'stephenson', BellDiagonalState or DensityMatrix")
 
 
+def _score(out: ProtocolOutcome) -> float:
+    return out.output_fidelity if out.success_probability >= MIN_SUCCESS else 0.0
+
+
 def fitness(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> float:
     """Output fidelity, zeroed when the accept rate is below MIN_SUCCESS."""
-    out = simulate(circuit, inputs, noise)
-    return out.output_fidelity if out.success_probability >= MIN_SUCCESS else 0.0
+    return _score(simulate(circuit, inputs, noise))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +225,9 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
         if hit is None:
             circ = _genome_to_circuit(g, n_pairs)
             out = simulate(circ, rho, noise)
-            fit = out.output_fidelity if out.success_probability >= MIN_SUCCESS else 0.0
-            hit = (fit, out)
+            hit = (_score(out), out)
             cache[key] = hit
-            pool.append((circ, fit, out))
+            pool.append((circ, *hit))
         return hit
 
     n_elite = max(1, int(round(config.elite_fraction * config.population_size)))

@@ -26,7 +26,6 @@ from .quantum import (
     _project_raw,
     clifford_unitary,
     fidelity_to_bell,
-    stephenson_pair,
 )
 
 SIDES = ("A", "B")
@@ -34,6 +33,16 @@ BASES = ("X", "Y", "Z")
 RELATIONS = ("coincident", "anticoincident")
 MIN_PAIRS = 2
 MAX_PAIRS = 5
+
+# the keys circuit JSON allows, per object
+_CIRCUIT_KEYS = {"n_pairs", "ops", "accept"}
+_OP_KEYS = {
+    "cnot": {"kind", "side", "control_pair", "target_pair"},
+    "cz": {"kind", "side", "control_pair", "target_pair"},
+    "clifford": {"kind", "side", "pair", "index"},
+    "measure": {"kind", "side", "pair", "basis", "record_label"},
+}
+_ACCEPT_KEYS = {"label_i", "label_j", "relation"}
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +166,27 @@ class PurificationCircuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PurificationCircuit":
+        _check_keys(d, _CIRCUIT_KEYS, "circuit")
         ops = []
         for o in d["ops"]:
             kind = o["kind"]
-            if kind in ("cnot", "cz"):
-                ops.append(TwoQubitGate(kind, o["side"], int(o["control_pair"]),
-                                        int(o["target_pair"])))
-            elif kind == "clifford":
-                ops.append(SingleQubitClifford(int(o["pair"]), o["side"],
-                                               int(o["index"])))
+            if kind not in _OP_KEYS:
+                raise ValueError(f"unknown op kind {kind!r}")
+            _check_keys(o, _OP_KEYS[kind], f"{kind} op")
+            if kind == "clifford":
+                ops.append(SingleQubitClifford(_int_field(o, "pair"), o["side"],
+                                               _int_field(o, "index")))
             elif kind == "measure":
-                ops.append(Measure(int(o["pair"]), o["side"], o["basis"],
+                ops.append(Measure(_int_field(o, "pair"), o["side"], o["basis"],
                                    str(o["record_label"])))
             else:
-                raise ValueError(f"unknown op kind {kind!r}")
-        accept = [AcceptRule(a["label_i"], a["label_j"], a["relation"])
-                  for a in d.get("accept", [])]
-        return cls(int(d["n_pairs"]), tuple(ops), tuple(accept))
+                ops.append(TwoQubitGate(kind, o["side"], _int_field(o, "control_pair"),
+                                        _int_field(o, "target_pair")))
+        accept = []
+        for a in d.get("accept", []):
+            _check_keys(a, _ACCEPT_KEYS, "accept rule")
+            accept.append(AcceptRule(a["label_i"], a["label_j"], a["relation"]))
+        return cls(_int_field(d, "n_pairs"), tuple(ops), tuple(accept))
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -181,6 +194,19 @@ class PurificationCircuit:
     @classmethod
     def from_json(cls, text: str) -> "PurificationCircuit":
         return cls.from_dict(json.loads(text))
+
+
+def _check_keys(obj: dict, known: set, what: str) -> None:
+    extra = set(obj) - known
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+
+
+def _int_field(obj: dict, key: str) -> int:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
 
 
 def load_circuit(path) -> PurificationCircuit:
@@ -212,6 +238,7 @@ def _as_pair_matrix(state) -> np.ndarray:
     m = state.entries if isinstance(state, DensityMatrix) else np.asarray(state, complex)
     if m.shape != (4, 4):
         raise ValueError("each input must be a 2-qubit state")
+    DensityMatrix(2, m).validate()
     return m
 
 
@@ -227,7 +254,8 @@ def _resolve_inputs(inputs, n_pairs: int) -> list:
 def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> ProtocolOutcome:
     """Exact noisy run: all measurement branches, closed-form depolarizing.
 
-    `inputs` is one shared 2-qubit DensityMatrix or a length-n_pairs list.
+    `inputs` is one shared 2-qubit DensityMatrix or a length-n_pairs list;
+    each must pass `DensityMatrix.validate` or ValueError is raised.
     Depolarizing noise follows every gate on exactly its qubits (p1 single,
     p2 two-qubit); measurement records pass through a p_meas bitflip.
     Returns the accept-conditioned pair-0 marginal next to its fidelity and
@@ -339,79 +367,3 @@ def dejmps_circuit() -> PurificationCircuit:
         Measure(1, "B", "Z", "c2"),
     )
     return PurificationCircuit(2, ops, (AcceptRule("c1", "c2", "coincident"),))
-
-
-# ---------------------------------------------------------------------------
-# multi-output entanglement audit
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Pairwise classical correlations between output pairs."""
-
-    pair_qubits: tuple
-    mutual_information_bits: dict
-    flagged: tuple
-
-    @property
-    def empty(self) -> bool:
-        return not self.mutual_information_bits
-
-
-def _diag_distribution(state: np.ndarray) -> np.ndarray:
-    d = np.clip(np.diag(state).real, 0.0, None)
-    tot = d.sum()
-    return d / tot if tot > 0 else d
-
-
-def marginal_entanglement_check(state: DensityMatrix, pairs=None,
-                                threshold: float = 1e-6) -> EntanglementReport:
-    """Flag residual correlations between the output pairs of a k>1 protocol.
-
-    `pairs` lists (qubit_A, qubit_B) index tuples; default is consecutive
-    blocks (0,1), (2,3), ...  For every two pairs the computational-basis
-    mutual information (in bits) of their joint 4-qubit marginal is computed;
-    values above `threshold` are flagged.  With fewer than two pairs the
-    report is trivially empty.
-    """
-    n = state.num_qubits
-    if pairs is None:
-        if n % 2:
-            raise ValueError("default pairing needs an even number of qubits")
-        pairs = [(2 * i, 2 * i + 1) for i in range(n // 2)]
-    pairs = [tuple(int(q) for q in p) for p in pairs]
-    for qa, qb in pairs:
-        if not (0 <= qa < n and 0 <= qb < n) or qa == qb:
-            raise ValueError("invalid pair qubit indices")
-
-    mi = {}
-    flagged = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            keep = sorted(set(pairs[i]) | set(pairs[j]))
-            if len(keep) != 4:
-                raise ValueError("pairs must not share qubits")
-            red = _partial_trace_raw(state.entries, keep, n)
-            # axis order follows sorted `keep`; pair i's qubits may interleave
-            # with pair j's, so marginalize by explicit qubit membership
-            probs = _diag_distribution(red)
-            idx_i = [keep.index(q) for q in pairs[i]]
-            idx_j = [keep.index(q) for q in pairs[j]]
-            pi = np.zeros(4)
-            pj = np.zeros(4)
-            pij = np.zeros((4, 4))
-            for b in range(16):
-                bits = [(b >> (3 - k)) & 1 for k in range(4)]
-                vi = bits[idx_i[0]] * 2 + bits[idx_i[1]]
-                vj = bits[idx_j[0]] * 2 + bits[idx_j[1]]
-                pi[vi] += probs[b]
-                pj[vj] += probs[b]
-                pij[vi, vj] += probs[b]
-            val = 0.0
-            for a in range(4):
-                for c in range(4):
-                    if pij[a, c] > 0 and pi[a] > 0 and pj[c] > 0:
-                        val += pij[a, c] * np.log2(pij[a, c] / (pi[a] * pj[c]))
-            mi[(i, j)] = max(float(val), 0.0)
-            if mi[(i, j)] > threshold:
-                flagged.append((i, j))
-    return EntanglementReport(tuple(pairs), mi, tuple(flagged))

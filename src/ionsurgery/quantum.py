@@ -62,8 +62,10 @@ class DensityMatrix:
             raise ValueError(f"entries must be {dim}x{dim} for {self.num_qubits} qubits")
 
     def validate(self, check_psd: bool = True) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and (optionally) positivity."""
+        """Check finiteness, Hermiticity, unit trace and (optionally) positivity."""
         a = self.entries
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
         if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("not Hermitian within 1e-10")
         if abs(np.trace(a) - 1) > TRACE_TOL:

@@ -32,8 +32,8 @@ class DeviceParams:
     f_ideal: float = 0.99               # pair fidelity target
 
     def __post_init__(self):
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be positive")
+        if not (math.isfinite(self.pulse_rate_hz) and self.pulse_rate_hz > 0):
+            raise ValueError("pulse_rate_hz must be positive and finite")
         for name in ("p_entangle", "p_purify", "p_pair_confidence", "p_ls_confidence",
                      "f_ideal"):
             v = getattr(self, name)
@@ -182,10 +182,14 @@ def attempts_required(n_ions: int, p_entangle: float, k_star: int,
                                     k_star) >= p_ls, 1)
 
 
-def min_attempts(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
-    """Fewest per-ion attempts for a fixed ion budget; infeasible if ions < k*."""
+def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
+    """Highest sustainable cycle rate R / A_min for a fixed ion budget.
+
+    A_min is the fewest per-ion attempts that fill the pair demand; the query
+    is infeasible when the ion budget is below k*.
+    """
     if query.n_ions is None:
-        raise ValueError("min_attempts needs an n_ions query")
+        raise ValueError("max_rate needs an n_ions query")
     k = multiplexing_k(device.p_purify, device.p_pair_confidence)
     n_ls = pairs_required(query.distance, device.pairs_per_circuit, k)
     k_star = _threshold(n_ls, query.paper_compat)
@@ -195,11 +199,6 @@ def min_attempts(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
                               device.p_ls_confidence)
     return EstimateResult(k, n_ls, a_min, a_min, device.pulse_rate_hz / a_min,
                           True, query.distance)
-
-
-def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
-    """Highest sustainable cycle rate R / A_min for a fixed ion budget."""
-    return min_attempts(query, device)
 
 
 def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
@@ -220,6 +219,12 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     return rows
 
 
+# device JSON key -> DeviceParams field
+_DEVICE_KEYS = {"R": "pulse_rate_hz", "p_c": "p_entangle", "p": "p_purify",
+                "N_p": "pairs_per_circuit", "P_pair": "p_pair_confidence",
+                "P_LS": "p_ls_confidence", "F_ideal": "f_ideal"}
+
+
 def load_device(path) -> DeviceParams:
     """Device JSON with short constant names R, p_c, p, N_p, P_pair, P_LS, F_ideal."""
     with open(path) as fh:
@@ -228,40 +233,24 @@ def load_device(path) -> DeviceParams:
 
 
 def device_from_dict(raw: dict) -> DeviceParams:
-    known = {"R", "p_c", "p", "N_p", "P_pair", "P_LS", "F_ideal"}
-    extra = set(raw) - known
+    """Device from short-name keys; omitted keys take the packaged defaults."""
+    extra = set(raw) - set(_DEVICE_KEYS)
     if extra:
         raise ValueError(f"unknown device keys: {sorted(extra)}")
-    base = default_device()
-    return DeviceParams(
-        pulse_rate_hz=float(raw.get("R", base.pulse_rate_hz)),
-        p_entangle=float(raw.get("p_c", base.p_entangle)),
-        p_purify=float(raw.get("p", base.p_purify)),
-        pairs_per_circuit=int(raw.get("N_p", base.pairs_per_circuit)),
-        p_pair_confidence=float(raw.get("P_pair", base.p_pair_confidence)),
-        p_ls_confidence=float(raw.get("P_LS", base.p_ls_confidence)),
-        f_ideal=float(raw.get("F_ideal", base.f_ideal)),
-    )
+    ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
+    with ref.open() as fh:
+        merged = {**json.load(fh), **raw}
+    n_p = merged["N_p"]
+    if isinstance(n_p, bool) or not isinstance(n_p, int):
+        raise ValueError(f"N_p must be an integer, got {n_p!r}")
+    return DeviceParams(**{field: (n_p if key == "N_p" else float(merged[key]))
+                           for key, field in _DEVICE_KEYS.items()})
 
 
 def device_to_dict(device: DeviceParams) -> dict:
-    return {"R": device.pulse_rate_hz, "p_c": device.p_entangle,
-            "p": device.p_purify, "N_p": device.pairs_per_circuit,
-            "P_pair": device.p_pair_confidence, "P_LS": device.p_ls_confidence,
-            "F_ideal": device.f_ideal}
+    return {key: getattr(device, field) for key, field in _DEVICE_KEYS.items()}
 
 
 def default_device() -> DeviceParams:
     """The packaged reference device constants."""
-    ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
-    with ref.open() as fh:
-        raw = json.load(fh)
-    return DeviceParams(
-        pulse_rate_hz=float(raw["R"]),
-        p_entangle=float(raw["p_c"]),
-        p_purify=float(raw["p"]),
-        pairs_per_circuit=int(raw["N_p"]),
-        p_pair_confidence=float(raw["P_pair"]),
-        p_ls_confidence=float(raw["P_LS"]),
-        f_ideal=float(raw["F_ideal"]),
-    )
+    return device_from_dict({})

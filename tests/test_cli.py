@@ -260,6 +260,19 @@ def test_broken_env_device_is_a_usage_error(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["min-ions", "--paradigm", "t1000us"],
+                                     ["rate", "--ions", "100"]])
+@pytest.mark.parametrize("device", [{"R": float("inf")}, {"R": float("nan")},
+                                    {"N_p": 3.5}, {"N_p": "3"}])
+def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
+        capsys, tmp_path, command, device):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(device))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--distance", "3", "--device", str(path)])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -290,6 +303,16 @@ def test_bad_input_spec_exits_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["purify", "simulate", "--circuit", str(path),
                   "--input", spec])
+        assert exc.value.code == 2
+
+
+def test_circuit_file_with_unknown_key_or_float_count_exits_2(capsys, tmp_path):
+    raw = isg.bbpssw_circuit().to_dict()
+    for edit in ({"comment": "x"}, {"n_pairs": 2.5}):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**raw, **edit}))
+        with pytest.raises(SystemExit) as exc:
+            main(["purify", "simulate", "--circuit", str(path)])
         assert exc.value.code == 2
 
 

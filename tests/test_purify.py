@@ -118,6 +118,23 @@ def test_from_dict_rejects_unknown_kind():
         PurificationCircuit.from_dict(raw)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.update(comment="x"),
+    lambda raw: raw["ops"][0].update(pair=1),
+    lambda raw: raw["ops"][2].update(index=3),
+    lambda raw: raw["accept"][0].update(weight=1),
+    lambda raw: raw.update(n_pairs=2.0),
+    lambda raw: raw["ops"][0].update(target_pair=1.5),
+    lambda raw: raw["ops"][2].update(pair="1"),
+    lambda raw: raw["ops"][3].update(pair=True),
+])
+def test_from_dict_rejects_unknown_keys_and_non_integer_fields(edit):
+    raw = json.loads(isg.bbpssw_circuit().to_json())
+    edit(raw)
+    with pytest.raises(ValueError):
+        PurificationCircuit.from_dict(raw)
+
+
 # ---------------------------------------------------------------------------
 # exact protocol algebra
 
@@ -220,6 +237,21 @@ def test_input_list_length_must_match():
                      [isg.bell_state("phi_plus")] * 3, isg.IDEAL_NOISE)
 
 
+@pytest.mark.parametrize("entries", [
+    2 * np.eye(4) / 4,                          # trace 2
+    np.full((4, 4), np.nan),
+    np.diag([1.5, -0.5, 0.0, 0.0]),             # unit trace, not PSD
+    np.array(isg.bell_state("phi_plus").entries) + 1e-3j * np.triu(np.ones((4, 4)), 1),
+])
+def test_simulate_rejects_non_physical_inputs(entries):
+    rho = isg.DensityMatrix(2, entries)
+    with pytest.raises(ValueError):
+        isg.simulate(isg.bbpssw_circuit(), rho, isg.IDEAL_NOISE)
+    with pytest.raises(ValueError):
+        isg.simulate(isg.bbpssw_circuit(), [isg.bell_state("phi_plus"), entries],
+                     isg.IDEAL_NOISE)
+
+
 def test_accepts_bell_diagonal_state_directly():
     s = isg.BellDiagonalState(0.94, 1 / 3, 1 / 3, 1 / 3)
     out1 = isg.simulate(isg.bbpssw_circuit(), s, isg.IDEAL_NOISE)
@@ -258,28 +290,3 @@ def test_fixture_noise_floor_on_perfect_inputs(fixture_circuit_path):
     fx = isg.load_circuit(fixture_circuit_path)
     out = isg.simulate(fx, isg.bell_state("phi_plus"), isg.DEVICE_NOISE)
     assert out.output_fidelity >= 1 - 20 * (1e-5 + 5e-5 + 1e-5)
-
-
-# ---------------------------------------------------------------------------
-# residual-correlation screen
-
-def test_entanglement_check_passes_product_inputs():
-    joint = isg.tensor(isg.stephenson_pair(), isg.stephenson_pair())
-    report = isg.marginal_entanglement_check(joint)
-    assert report.flagged == ()
-    assert report.mutual_information_bits[(0, 1)] == pytest.approx(0.0, abs=1e-9)
-    # fewer than two pairs: nothing to compare
-    solo = isg.marginal_entanglement_check(isg.stephenson_pair())
-    assert solo.empty
-
-
-def test_entanglement_check_flags_correlated_pairs():
-    # classically correlated across the two pairs: half |0000>, half |1111>
-    m = np.zeros((16, 16), dtype=complex)
-    m[0, 0] = 0.5
-    m[15, 15] = 0.5
-    state = isg.DensityMatrix(4, m)
-    report = isg.marginal_entanglement_check(state)
-    assert not report.empty
-    assert report.flagged == ((0, 1),)
-    assert report.mutual_information_bits[(0, 1)] == pytest.approx(1.0, abs=1e-9)

@@ -50,6 +50,11 @@ def test_density_matrix_validate():
     eps = 1e-9
     near = DensityMatrix(1, np.diag([1 + eps, -eps]).astype(complex))
     near.validate()
+    # NaN passes the Hermiticity and trace comparisons, so it is caught first
+    bad_nan = DensityMatrix(1, np.full((2, 2), np.nan))
+    for check_psd in (True, False):
+        with pytest.raises(ValueError, match="finite"):
+            bad_nan.validate(check_psd=check_psd)
 
 
 def test_entries_are_frozen():

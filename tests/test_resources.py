@@ -19,7 +19,6 @@ from ionsurgery import (
     device_to_dict,
     load_device,
     max_rate,
-    min_attempts,
     min_ions,
     multiplexing_k,
     p_onepair,
@@ -56,9 +55,19 @@ def test_device_dict_round_trip(tmp_path):
         device_from_dict({"p_c": 0.5, "bogus": 1})
 
 
+@pytest.mark.parametrize("raw", [{"N_p": 3.5}, {"N_p": 3.0}, {"N_p": "3"},
+                                 {"N_p": True}, {"R": math.inf}, {"R": math.nan}])
+def test_device_from_dict_rejects_non_integer_counts_and_non_finite_rates(raw):
+    with pytest.raises(ValueError):
+        device_from_dict(raw)
+
+
 def test_device_validation():
     with pytest.raises(ValueError):
         DeviceParams(pulse_rate_hz=0)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DeviceParams(pulse_rate_hz=rate)
     with pytest.raises(ValueError):
         DeviceParams(p_entangle=0.0)
     with pytest.raises(ValueError):
@@ -218,14 +227,14 @@ def test_min_ions_requires_cycle_time_query():
     with pytest.raises(ValueError):
         min_ions(SurgeryQuery(distance=3, n_ions=100), DEV)
     with pytest.raises(ValueError):
-        min_attempts(SurgeryQuery(distance=3, cycle_time_s=1e-3), DEV)
+        max_rate(SurgeryQuery(distance=3, cycle_time_s=1e-3), DEV)
 
 
 # ---------------------------------------------------------------------------
 # attempt/rate solver
 
 def test_min_attempts_reference_point():
-    r = min_attempts(SurgeryQuery(distance=3, n_ions=45), DEV)
+    r = max_rate(SurgeryQuery(distance=3, n_ions=45), DEV)
     assert r.answer == 49142
     assert r.rate_hz == pytest.approx(20.34919213707216, rel=1e-12)
     assert r.full_surgery_rate_hz == pytest.approx(r.rate_hz / 3, rel=1e-12)
