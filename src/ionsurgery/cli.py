@@ -82,8 +82,12 @@ def _cycle_times_s(args, parser) -> list:
         preset = args.paradigm or "all"
         names = list(PARADIGMS) if preset == "all" else [preset]
         times = [PARADIGMS[n] for n in names]
-    if any(t <= 0 for t in times):
-        parser.error("cycle times must be positive")
+    return _check_cycle_times(times, parser)
+
+
+def _check_cycle_times(times: list, parser) -> list:
+    if not all(math.isfinite(t) and t > 0 for t in times):
+        parser.error("cycle times must be positive and finite")
     return times
 
 
@@ -203,7 +207,8 @@ def _cmd_rate(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     dev = _device(args, parser)
     distances = _parse_ints(args.distances, parser)
-    times = [v * 1e-6 for v in _parse_floats(args.cycle_times_us, parser)]
+    times = _check_cycle_times([v * 1e-6 for v in _parse_floats(args.cycle_times_us, parser)],
+                               parser)
     if not 0 < args.pc_from <= args.pc_to <= 1:
         parser.error("need 0 < --pc-from <= --pc-to <= 1")
     if args.points < 1:

@@ -1,9 +1,10 @@
 """n->1 entanglement-purification circuits and their exact noisy simulation.
 
 A circuit acts on n Bell pairs shared between sides A and B.  Pair i occupies
-qubit i on side A and qubit n+i on side B of the joint 2n-qubit state.  All
-2^m measurement branches are enumerated exactly; measured qubits are traced
-out eagerly so later branches stay small.
+qubit i on side A and qubit n+i on side B of the joint 2n-qubit state.  The
+measurement branches are followed exactly; measured qubits are traced out
+eagerly so later branches stay small, and a branch is dropped as soon as a
+completed accept rule rejects it.
 """
 from __future__ import annotations
 
@@ -13,17 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
-    CNOT,
-    CZ,
     BellDiagonalState,
     DensityMatrix,
     NoiseModel,
     _apply_unitary_raw,
-    _basis_projectors,
+    _cnot_raw,
+    _cz_raw,
     _depolarize_raw,
+    _measure_raw,
     _partial_trace_raw,
     _permute_raw,
-    _project_raw,
+    _project_raw,  # noqa: F401  unused here, but perfbench/spans.py wraps it by this name
     clifford_unitary,
     fidelity_to_bell,
 )
@@ -251,13 +252,25 @@ def _resolve_inputs(inputs, n_pairs: int) -> list:
     return [_as_pair_matrix(s) for s in seq]
 
 
+def _accepted(rules, rec: dict) -> bool:
+    """True when the records in `rec` satisfy every rule in `rules`."""
+    for rule in rules:
+        same = rec[rule.label_i] == rec[rule.label_j]
+        if same != (rule.relation == "coincident"):
+            return False
+    return True
+
+
 def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> ProtocolOutcome:
-    """Exact noisy run: all measurement branches, closed-form depolarizing.
+    """Exact noisy run over the accepted measurement branches, closed-form depolarizing.
 
     `inputs` is one shared 2-qubit DensityMatrix or a length-n_pairs list;
     each must pass `DensityMatrix.validate` or ValueError is raised.
     Depolarizing noise follows every gate on exactly its qubits (p1 single,
     p2 two-qubit); measurement records pass through a p_meas bitflip.
+    Once a measurement writes the last record of an accept rule, every
+    branch that breaks the rule is pruned; the survivors are kept apart and
+    summed in record order at the end.
     Returns the accept-conditioned pair-0 marginal next to its fidelity and
     the total success probability.
     """
@@ -274,58 +287,49 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
 
     alive = list(range(n))  # qubit id -> position alive.index(id)
     branches = [(state, {})]  # unnormalized: trace == path probability
+    written = set()  # record labels measured so far
+    pending = list(circuit.accept)  # rules still waiting for one of their records
 
     for op in circuit.ops:
         m = len(alive)
+        off = 0 if op.side == "A" else n_pairs
         if isinstance(op, TwoQubitGate):
-            off = 0 if op.side == "A" else n_pairs
             pos = [alive.index(off + op.control_pair), alive.index(off + op.target_pair)]
-            u = CNOT if op.kind == "cnot" else CZ
-            branches = [(_depolarize_raw(_apply_unitary_raw(s, u, pos, m),
-                                         noise.p2, pos, m), rec)
+            gate = _cnot_raw if op.kind == "cnot" else _cz_raw
+            branches = [(_depolarize_raw(gate(s, *pos, m), noise.p2, pos, m), rec)
                         for s, rec in branches]
         elif isinstance(op, SingleQubitClifford):
-            off = 0 if op.side == "A" else n_pairs
             pos = [alive.index(off + op.pair)]
             u = clifford_unitary(op.index)
             branches = [(_depolarize_raw(_apply_unitary_raw(s, u, pos, m),
                                          noise.p1, pos, m), rec)
                         for s, rec in branches]
         else:  # Measure
-            off = 0 if op.side == "A" else n_pairs
             q = off + op.pair
             pos = alive.index(q)
-            keep = [i for i in range(m) if i != pos]
-            p_up, p_dn = _basis_projectors(op.basis)
+            label = op.record_label
+            written.add(label)
+            done = [r for r in pending if r.label_i in written and r.label_j in written]
+            pending = [r for r in pending if r not in done]
             pm = noise.p_meas
             nxt = []
             for s, rec in branches:
-                s0 = _partial_trace_raw(_project_raw(s, p_up, pos, m), keep, m)
-                s1 = _partial_trace_raw(_project_raw(s, p_dn, pos, m), keep, m)
-                # record bitflip mixes which outcome is written down
-                b0 = (1 - pm) * s0 + pm * s1
-                b1 = (1 - pm) * s1 + pm * s0
-                nxt.append((b0, {**rec, op.record_label: 0}))
-                nxt.append((b1, {**rec, op.record_label: 1}))
+                s0, s1 = _measure_raw(s, op.basis, pos, m)
+                rec0, rec1 = {**rec, label: 0}, {**rec, label: 1}
+                # record bitflip mixes which outcome is written down; a
+                # branch that breaks a now-complete accept rule is dropped
+                if _accepted(done, rec0):
+                    nxt.append(((1 - pm) * s0 + pm * s1, rec0))
+                if _accepted(done, rec1):
+                    nxt.append(((1 - pm) * s1 + pm * s0, rec1))
             branches = nxt
             alive.remove(q)
-
-    def accepted(rec: dict) -> bool:
-        for rule in circuit.accept:
-            same = rec[rule.label_i] == rec[rule.label_j]
-            if rule.relation == "coincident" and not same:
-                return False
-            if rule.relation == "anticoincident" and same:
-                return False
-        return True
 
     m = len(alive)
     out_pos = sorted((alive.index(0), alive.index(n_pairs)))
     total = np.zeros((4, 4), dtype=complex)
     p_succ = 0.0
-    for s, rec in branches:
-        if not accepted(rec):
-            continue
+    for s, _ in branches:
         p_succ += float(np.trace(s).real)
         total += _partial_trace_raw(s, out_pos, m)
     if alive.index(0) > alive.index(n_pairs):  # keep A before B in the marginal

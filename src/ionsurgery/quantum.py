@@ -6,6 +6,8 @@ are pure functions; DensityMatrix instances are immutable after construction.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,24 +175,30 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndar
     Closed form: the full 4^k-term Pauli average equals replacement by the
     maximally mixed state on the targets, so the 3- or 15-term non-identity
     mixture is (1-lam) rho + lam * (Tr_t rho (x) I/2^k) with
-    lam = p * d^2/(d^2-1), d = 2^k.
+    lam = p * d^2/(d^2-1), d = 2^k.  The second term is nonzero only on the
+    2^k blocks where the targets' ket and bra bits agree, so it is added into
+    those blocks of (1-lam) rho instead of being built at full size.
     """
     if p == 0.0:
         return rho
     k = len(targets)
     dim = 2 ** k
-    keep = [q for q in range(n) if q not in targets]
-    if keep:
-        red = _partial_trace_raw(rho, keep, n)
-    else:
-        red = np.array([[np.trace(rho)]], dtype=complex)
-    mixed = np.kron(red, np.eye(dim, dtype=complex) / dim)
-    # back from [keep..., targets...] layout to original qubit positions
-    cur = keep + list(targets)
-    inv = [cur.index(q) for q in range(n)]
-    mixed = _permute_raw(mixed, inv, n)
     lam = p * dim * dim / (dim * dim - 1)
-    return (1 - lam) * rho + lam * mixed
+    if k == n:
+        red = np.trace(rho)
+    else:
+        red = rho.reshape((2,) * (2 * n))
+        for q in sorted(targets, reverse=True):
+            red = np.trace(red, axis1=q, axis2=red.ndim // 2 + q)
+    out = (1 - lam) * rho
+    blocks = out.reshape((2,) * (2 * n))
+    mixed = lam * (red / dim)
+    for bits in itertools.product((0, 1), repeat=k):
+        idx = [slice(None)] * (2 * n)
+        for q, b in zip(targets, bits):
+            idx[q] = idx[n + q] = b
+        blocks[tuple(idx)] += mixed
+    return out
 
 
 def _basis_projectors(basis: str):
@@ -203,6 +211,69 @@ def _basis_projectors(basis: str):
 def _project_raw(rho: np.ndarray, proj: np.ndarray, target: int, n: int) -> np.ndarray:
     """P rho P for a single-qubit projector (unnormalized)."""
     return _apply_unitary_raw(rho, proj, [target], n)
+
+
+def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int):
+    """Both unnormalized outcome branches of an X/Y/Z measurement of qubit q.
+
+    Returns (s0, s1), the +1 and -1 branches with q traced out.  Each is
+    read off the four (ket_q, bra_q) blocks tab of rho, through the same
+    addition tree as projecting with `_project_raw` and then tracing q out
+    with `_partial_trace_raw`, so the two agree bit for bit.
+    """
+    lo, hi = 2 ** q, 2 ** (n - 1 - q)
+    t = rho.reshape(lo, 2, hi, lo, 2, hi)
+
+    def block(a, b):
+        return t[:, a, :, :, b, :]
+
+    if basis == "Z":
+        s0, s1 = block(0, 0).copy(), block(1, 1).copy()
+    else:
+        t00, t01, t10, t11 = block(0, 0), block(0, 1), block(1, 0), block(1, 1)
+        if basis == "X":
+            s0 = .5 * ((t00 + t10) + (t01 + t11))
+            s1 = .5 * ((t00 - t10) - (t01 - t11))
+        elif basis == "Y":
+            s0 = .5 * ((t00 - 1j * t10) + 1j * (t01 - 1j * t11))
+            s1 = .5 * ((t00 + 1j * t10) - 1j * (t01 + 1j * t11))
+        else:
+            raise ValueError("basis must be one of X, Y, Z")
+    d = lo * hi
+    return s0.reshape(d, d), s1.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    idx = np.arange(2 ** n)
+    perm = idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm.setflags(write=False)
+    return perm
+
+
+@functools.lru_cache(maxsize=None)
+def _cz_signs(n: int, control: int, target: int) -> np.ndarray:
+    idx = np.arange(2 ** n)
+    both = (idx >> (n - 1 - control)) & (idx >> (n - 1 - target)) & 1
+    signs = 1.0 - 2.0 * both
+    signs.setflags(write=False)
+    return signs
+
+
+def _cnot_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    """CNOT rho CNOT as a row and column permutation.
+
+    Equal bit for bit to `_apply_unitary_raw(rho, CNOT, [control, target], n)`:
+    that contraction only multiplies by 0 and 1.
+    """
+    perm = _cnot_perm(n, control, target)
+    return rho[perm[:, None], perm[None, :]]
+
+
+def _cz_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    """CZ rho CZ as an outer +-1 sign mask; bitwise equal to `_apply_unitary_raw`."""
+    signs = _cz_signs(n, control, target)
+    return rho * np.multiply.outer(signs, signs)
 
 
 # ---------------------------------------------------------------------------

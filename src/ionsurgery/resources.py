@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources as importlib_resources
 
@@ -57,8 +58,9 @@ class SurgeryQuery:
             raise ValueError("distance must be at least 1")
         if (self.cycle_time_s is None) == (self.n_ions is None):
             raise ValueError("set exactly one of cycle_time_s and n_ions")
-        if self.cycle_time_s is not None and self.cycle_time_s <= 0:
-            raise ValueError("cycle_time_s must be positive")
+        if self.cycle_time_s is not None and not (
+                math.isfinite(self.cycle_time_s) and self.cycle_time_s > 0):
+            raise ValueError("cycle_time_s must be positive and finite")
         if self.n_ions is not None and self.n_ions < 1:
             raise ValueError("n_ions must be at least 1")
 
@@ -240,11 +242,21 @@ def device_from_dict(raw: dict) -> DeviceParams:
     ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
     with ref.open() as fh:
         merged = {**json.load(fh), **raw}
-    n_p = merged["N_p"]
-    if isinstance(n_p, bool) or not isinstance(n_p, int):
-        raise ValueError(f"N_p must be an integer, got {n_p!r}")
-    return DeviceParams(**{field: (n_p if key == "N_p" else float(merged[key]))
+    return DeviceParams(**{field: _device_value(key, merged[key])
                            for key, field in _DEVICE_KEYS.items()})
+
+
+def _device_value(key: str, v):
+    """N_p must be a JSON integer; every other field a finite JSON number."""
+    if key == "N_p":
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"N_p must be an integer, got {v!r}")
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities, ints past float range
+        raise ValueError(f"{key} must be finite, got {v!r}")
+    return float(v)
 
 
 def device_to_dict(device: DeviceParams) -> dict:

@@ -263,7 +263,8 @@ def test_broken_env_device_is_a_usage_error(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", [["min-ions", "--paradigm", "t1000us"],
                                      ["rate", "--ions", "100"]])
 @pytest.mark.parametrize("device", [{"R": float("inf")}, {"R": float("nan")},
-                                    {"N_p": 3.5}, {"N_p": "3"}])
+                                    {"N_p": 3.5}, {"N_p": "3"},
+                                    {"p_c": True}, {"R": "1e6"}, {"F_ideal": None}])
 def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
         capsys, tmp_path, command, device):
     path = tmp_path / "dev.json"
@@ -289,6 +290,10 @@ def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
     ["purify", "simulate", "--circuit", "/nonexistent/c.json"],
     ["validate", "--trials", "0"],
     ["nonsense"],
+    ["min-ions", "--distance", "3", "--cycle-time-us", "nan"],
+    ["min-ions", "--distance", "3", "--cycle-time-us", "1000,inf"],
+    ["sweep", "--distances", "3", "--cycle-times-us", "nan"],
+    ["sweep", "--distances", "3", "--cycle-times-us", "-5"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Purification circuits: validation, JSON round-trips, exact protocol algebra."""
 
 import json
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from ionsurgery import (
     SingleQubitClifford,
     TwoQubitGate,
 )
-from conftest import bell_abs, random_bell_weights
+from conftest import CIRCUITS, bell_abs, random_bell_weights
 
 
 def two_pair_circuit(ops, accept):
@@ -216,6 +217,13 @@ def test_zero_success_outcome_is_flagged_not_crashed():
     out = isg.simulate(impossible, isg.bell_state("phi_plus"), isg.IDEAL_NOISE)
     assert out.success_probability == 0.0
     assert out.output_fidelity == 0.0
+    # every branch is rejected before the second pair is measured
+    ops = [Measure(1, "A", "Z", "a1"), Measure(1, "B", "Z", "b1"),
+           Measure(2, "A", "X", "a2"), Measure(2, "B", "X", "b2")]
+    rules = [AcceptRule("a1", "a1", "anticoincident"), AcceptRule("a2", "b2", "coincident")]
+    early = PurificationCircuit(n_pairs=3, ops=tuple(ops), accept=tuple(rules))
+    out = isg.simulate(early, isg.bell_state("phi_plus"), isg.DEVICE_NOISE)
+    assert (out.output_fidelity, out.success_probability) == (0.0, 0.0)
 
 
 def test_noise_lowers_fidelity():
@@ -290,3 +298,41 @@ def test_fixture_noise_floor_on_perfect_inputs(fixture_circuit_path):
     fx = isg.load_circuit(fixture_circuit_path)
     out = isg.simulate(fx, isg.bell_state("phi_plus"), isg.DEVICE_NOISE)
     assert out.output_fidelity >= 1 - 20 * (1e-5 + 5e-5 + 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs and branch pruning
+
+def test_simulate_matches_pinned_snapshot_bit_for_bit():
+    # recorded by tests/record_simulate_snapshot.py before the simulator's
+    # fast kernels and branch pruning; every output must match exactly
+    from record_simulate_snapshot import outputs
+
+    records = json.loads((Path(__file__).parent / "data" / "simulate_snapshot.json").read_text())
+    assert len(records) == 140
+    mismatched = []
+    for rec in records:
+        got = outputs(PurificationCircuit.from_dict(rec["circuit"]), rec["input"], rec["noise"])
+        if any(got[k] != rec[k] for k in got):
+            mismatched.append(rec["name"])
+    assert mismatched == []
+
+
+def test_rejected_branches_are_pruned_as_soon_as_a_rule_completes(monkeypatch):
+    from ionsurgery import purify
+
+    calls = []
+    measure = purify._measure_raw
+
+    def counting(rho, basis, q, n):
+        calls.append(n)
+        return measure(rho, basis, q, n)
+
+    monkeypatch.setattr(purify, "_measure_raw", counting)
+    circ = isg.load_circuit(CIRCUITS / "ga_4to1.json")
+    out = isg.simulate(circ, isg.stephenson_pair(rotated=True), isg.DEVICE_NOISE)
+    # A then B of pairs 1, 2, 3 on 8, 7, ... qubits: each B record completes
+    # that pair's rule and halves the branches, so 21 measurements, not 63
+    assert calls == [8] + [7] * 2 + [6] * 2 + [5] * 4 + [4] * 4 + [3] * 8
+    assert 0 < out.success_probability < 1
+

@@ -5,6 +5,7 @@ import pytest
 
 import ionsurgery as isg
 from ionsurgery import DensityMatrix
+from ionsurgery import quantum as Q
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -281,6 +282,63 @@ def test_measure_branch_probabilities_sum_to_one():
     for basis in ("X", "Y", "Z"):
         (p0, _), (p1, _) = isg.measure_branches(rho, 1, basis, p_meas=0.2)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# simulator kernels: bit-for-bit equal to the generic contractions they replace
+
+def random_psd(rng, n):
+    return random_state(rng, n).entries
+
+
+def kron_depolarize(rho, p, targets, n):
+    """The depolarizing closed form built at full size: kron, then permute back."""
+    if p == 0.0:
+        return rho
+    k = len(targets)
+    dim = 2 ** k
+    keep = [q for q in range(n) if q not in targets]
+    if keep:
+        red = Q._partial_trace_raw(rho, keep, n)
+    else:
+        red = np.array([[np.trace(rho)]], dtype=complex)
+    mixed = np.kron(red, np.eye(dim, dtype=complex) / dim)
+    cur = keep + list(targets)
+    mixed = Q._permute_raw(mixed, [cur.index(q) for q in range(n)], n)
+    lam = p * dim * dim / (dim * dim - 1)
+    return (1 - lam) * rho + lam * mixed
+
+
+def check_kernels(rho, n, pairs, qubits):
+    for c, t in pairs:
+        assert np.array_equal(Q._cnot_raw(rho, c, t, n),
+                              Q._apply_unitary_raw(rho, Q.CNOT, [c, t], n))
+        assert np.array_equal(Q._cz_raw(rho, c, t, n),
+                              Q._apply_unitary_raw(rho, Q.CZ, [c, t], n))
+        for p in (5e-5, 0.3):
+            assert np.array_equal(Q._depolarize_raw(rho, p, [c, t], n),
+                                  kron_depolarize(rho, p, [c, t], n))
+    for q in qubits:
+        assert np.array_equal(Q._depolarize_raw(rho, 1e-5, [q], n),
+                              kron_depolarize(rho, 1e-5, [q], n))
+        keep = [i for i in range(n) if i != q]
+        for basis in "XYZ":
+            got = Q._measure_raw(rho, basis, q, n)
+            for s, proj in zip(got, Q._basis_projectors(basis)):
+                want = Q._partial_trace_raw(Q._apply_unitary_raw(rho, proj, [q], n), keep, n)
+                assert np.array_equal(s, want)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fast_kernels_are_bitwise_equal(n):
+    rng = np.random.default_rng(100 + n)
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    check_kernels(random_psd(rng, n), n, pairs, range(n))
+
+
+def test_fast_kernels_are_bitwise_equal_at_ten_qubits():
+    rng = np.random.default_rng(110)
+    check_kernels(random_psd(rng, 10), 10, [(7, 2)], [0, 9])
 
 
 # ---------------------------------------------------------------------------

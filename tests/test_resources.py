@@ -51,12 +51,17 @@ def test_device_dict_round_trip(tmp_path):
     assert load_device(path) == DEV
     # missing keys fall back to the packaged defaults
     assert device_from_dict({"p_c": 0.5}) == replace(DEV, p_entangle=0.5)
+    assert device_from_dict({"R": 2000000}) == replace(DEV, pulse_rate_hz=2e6)
     with pytest.raises(ValueError):
         device_from_dict({"p_c": 0.5, "bogus": 1})
 
 
 @pytest.mark.parametrize("raw", [{"N_p": 3.5}, {"N_p": 3.0}, {"N_p": "3"},
-                                 {"N_p": True}, {"R": math.inf}, {"R": math.nan}])
+                                 {"N_p": True}, {"R": math.inf}, {"R": math.nan},
+                                 # every float field takes only a finite JSON number
+                                 {"p_c": True}, {"R": "1e6"}, {"p": None},
+                                 {"P_pair": [0.999]}, {"P_LS": math.nan},
+                                 {"F_ideal": -math.inf}, {"R": 10 ** 400}])
 def test_device_from_dict_rejects_non_integer_counts_and_non_finite_rates(raw):
     with pytest.raises(ValueError):
         device_from_dict(raw)
@@ -83,8 +88,9 @@ def test_query_validation():
         SurgeryQuery(distance=3)
     with pytest.raises(ValueError):
         SurgeryQuery(distance=3, cycle_time_s=1e-3, n_ions=100)
-    with pytest.raises(ValueError):
-        SurgeryQuery(distance=3, cycle_time_s=0.0)
+    for t in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SurgeryQuery(distance=3, cycle_time_s=t)
     with pytest.raises(ValueError):
         SurgeryQuery(distance=3, n_ions=0)
 
