@@ -8,7 +8,8 @@ Subcommands
     validate   Monte Carlo check of the analytic collection model
 
 Exit codes: 0 success, 1 only-infeasible results (or failed validation)
-under --strict, 2 usage error.  The default device file ships in the
+under --strict, 2 usage error, also for any input value the library rejects
+with ValueError.  The default device file ships in the
 package; --device or the IONSURGERY_DEVICE environment variable override it.
 """
 
@@ -309,6 +310,8 @@ def _validate_ks(n: int, mean: float) -> list:
 def _cmd_validate(args, parser) -> int:
     if not 0 < args.pc <= 1:
         parser.error("--pc must be in (0, 1]")
+    if not 0 < args.p_ls <= 1:
+        parser.error("--p-ls must be in (0, 1]")
     ions = _parse_ints(args.ions, parser)
     attempts = _parse_ints(args.attempts, parser)
     if args.trials < 1 or min(ions) < 1 or min(attempts) < 1:
@@ -453,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    try:
+        return args.fn(args, parser)
+    except ValueError as exc:  # the library rejected an input value
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

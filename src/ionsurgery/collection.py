@@ -3,17 +3,32 @@
 Each communication ion is pulsed once per round and retires on success, so
 an ion's first success lands on a Geometric(p_c) round; a trial's entangled
 count after A rounds is the number of ions whose first success came at or
-before A.  Trials use split Philox streams, so results are independent of
-chunking or execution order for a fixed seed.
+before A.  Trials use split Philox streams, one per CHUNK trials, so results
+are independent of chunking or execution order for a fixed seed.
+
+The draws are exactly those of NumPy's `Generator.geometric`.  For p < 1/3 it
+maps one standard exponential E to the round ceil(E / c), c = -log1p(-p), so
+the exponentials are drawn directly, BLOCK_ROWS trials at a time into one
+reused buffer (the generator fills in C order, so the stream is unchanged).
+A count compares E with the largest double whose round is <= A, and the
+k-th success maps the k-th smallest E, since the map is monotone.  For
+p >= 1/3 NumPy searches one uniform draw instead, and the same blocked loop
+calls `Generator.geometric` itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-CHUNK = 16384
+CHUNK = 16384      # trials per split Philox stream
+BLOCK_ROWS = 512   # trials per block of draws; divides CHUNK
+# NumPy's Generator.geometric inverts one standard exponential E below this p,
+# as ceil(-E / log1p(-p)), and searches one uniform draw at or above it
+GEOMETRIC_SEARCH_P = 1 / 3
+INT64_MAX = int(np.iinfo(np.int64).max)
 Z99 = float(ndtri(0.995))  # two-sided 99% Wilson interval
 
 
@@ -26,6 +41,10 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_ions", "attempts", "trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_ions < 1:
@@ -55,33 +74,84 @@ class CollectionResult:
         return float(np.mean(self.counts))
 
 
-def _first_success_chunks(n_ions: int, p_entangle: float, trials: int, seed: int):
-    """Yield (trial slice, first-success rounds) for each Philox chunk in order."""
-    children = np.random.SeedSequence(seed).spawn(max(-(-trials // CHUNK), 1))
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
-        rows = slice(i * CHUNK, min((i + 1) * CHUNK, trials))
-        yield rows, rng.geometric(p_entangle, size=(rows.stop - rows.start, n_ions))
+def _first_success_draws(n_ions: int, p_entangle: float, trials: int, seed: int):
+    """(scale, blocks): draws x whose first-success round is ceil(x / scale).
+
+    `blocks` yields (trial slice, draws) in stream order, at most BLOCK_ROWS
+    trials at a time.  Below GEOMETRIC_SEARCH_P the draws are the standard
+    exponentials behind NumPy's geometric inversion, filled into one reused
+    buffer; otherwise they are NumPy's geometric draws themselves (scale 1).
+    """
+    search = p_entangle >= GEOMETRIC_SEARCH_P
+    scale = 1.0 if search else -math.log1p(-p_entangle)
+
+    def blocks():
+        buf = None if search else np.empty((min(BLOCK_ROWS, trials), n_ions))
+        children = np.random.SeedSequence(seed).spawn(max(-(-trials // CHUNK), 1))
+        for i, child in enumerate(children):
+            rng = np.random.Generator(np.random.Philox(child))
+            end = min((i + 1) * CHUNK, trials)
+            for start in range(i * CHUNK, end, BLOCK_ROWS):
+                rows = min(BLOCK_ROWS, end - start)
+                if search:
+                    draws = rng.geometric(p_entangle, size=(rows, n_ions))
+                else:
+                    draws = rng.standard_exponential(out=buf[:rows])
+                yield slice(start, start + rows), draws
+
+    return scale, blocks()
+
+
+def _draw_cutoff(attempts: int, scale: float) -> float:
+    """Largest draw x whose first-success round ceil(x / scale) is <= attempts.
+
+    ceil(z) <= A is z <= A for an integer A, and IEEE division is monotone in
+    x, so a few ulp steps from A * scale find the exact cutoff.
+    """
+    attempts = int(attempts)
+    if attempts >= INT64_MAX:  # NumPy saturates rounds at INT64_MAX
+        return math.inf
+    x = attempts * scale
+    while x / scale > attempts:
+        x = math.nextafter(x, -math.inf)
+    while math.nextafter(x, math.inf) / scale <= attempts:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _rounds(draws: np.ndarray, scale: float) -> np.ndarray:
+    """First-success rounds ceil(draws / scale), saturated at INT64_MAX as NumPy does."""
+    z = np.ceil(draws / scale)
+    big = z >= 2.0 ** 63
+    z[big] = 0.0
+    out = z.astype(np.int64)
+    out[big] = INT64_MAX
+    return out
 
 
 def simulate_collection(config: TrialConfig) -> CollectionResult:
     """Per-trial entangled counts after `attempts` retire-on-success rounds."""
     out = np.zeros(config.trials, dtype=np.int64)
     if config.p_entangle > 0 and config.attempts > 0:
-        for rows, first in _first_success_chunks(config.n_ions, config.p_entangle,
-                                                 config.trials, config.seed):
-            out[rows] = (first <= config.attempts).sum(axis=1)
+        scale, blocks = _first_success_draws(config.n_ions, config.p_entangle,
+                                             config.trials, config.seed)
+        cutoff = _draw_cutoff(config.attempts, scale)
+        for rows, draws in blocks:
+            out[rows] = np.count_nonzero(draws <= cutoff, axis=1)
     return CollectionResult(config, out)
 
 
 def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
                       trials: int, seed: int) -> np.ndarray:
     """Per-trial attempt count at which the k_star-th ion success arrives."""
-    thresholds = np.empty(trials, dtype=np.int64)
-    for rows, first in _first_success_chunks(n_ions, p_entangle, trials, seed):
-        # k_star-th order statistic of the first-success rounds
-        thresholds[rows] = np.partition(first, k_star - 1, axis=1)[:, k_star - 1]
-    return thresholds
+    scale, blocks = _first_success_draws(n_ions, p_entangle, trials, seed)
+    kth = np.empty(trials)
+    for rows, draws in blocks:
+        # k_star-th order statistic of the draws; the map to rounds is
+        # monotone, so it commutes with the order statistic
+        draws.partition(k_star - 1, axis=1)
+        kth[rows] = draws[:, k_star - 1]
+    return _rounds(kth, scale)
 
 
 def _wilson_bounds(successes, trials: int, z: float):
@@ -101,6 +171,17 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
     return float(lower), float(upper)
 
 
+def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: float) -> None:
+    if k_star > n_ions:
+        raise ValueError("infeasible: k_star exceeds n_ions")
+    if k_star < 1:
+        raise ValueError("k_star must be at least 1")
+    if p_entangle <= 0:
+        raise ValueError("p_entangle must be positive")
+    if not 0 < p_ls <= 1:
+        raise ValueError("p_ls must be in (0, 1]")
+
+
 def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
                            p_ls: float, trials: int, seed: int) -> int:
     """Smallest A whose empirical success frequency reaches p_ls.
@@ -108,12 +189,7 @@ def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
     The estimate is the p_ls quantile of the per-trial k_star-th-success
     rounds, which makes the empirical frequency exactly monotone in A.
     """
-    if k_star > n_ions:
-        raise ValueError("infeasible: k_star exceeds n_ions")
-    if k_star < 1:
-        raise ValueError("k_star must be at least 1")
-    if p_entangle <= 0:
-        raise ValueError("p_entangle must be positive")
+    _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
     t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
     need = int(np.ceil(p_ls * trials))
     need = min(max(need, 1), trials)
@@ -127,10 +203,7 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
     lo is the smallest A not confidently below threshold (Wilson upper bound
     reaches p_ls); hi is the smallest A confidently at or above it.
     """
-    if k_star > n_ions:
-        raise ValueError("infeasible: k_star exceeds n_ions")
-    if p_entangle <= 0:
-        raise ValueError("p_entangle must be positive")
+    _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
     t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
     lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
     c_lo = int(np.searchsorted(upper, p_ls, side="left"))

@@ -11,12 +11,14 @@ attempt budget.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
+import numpy as np
 from scipy.special import betainc
 
 
@@ -137,20 +139,45 @@ def _threshold(n_ls: int, paper_compat: bool) -> int:
     return n_ls + 1 if paper_compat else n_ls
 
 
-def _search_min(pred, lo: int) -> int:
-    """Smallest integer >= lo satisfying monotone pred, by doubling + bisection."""
-    if pred(lo):
-        return lo
-    hi = max(lo, 1)
-    while not pred(hi):
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+# largest probe of the integer search; doubling past it would leave int64
+SEARCH_LIMIT = 2 ** 62
+
+
+def _search_min(pred, lo) -> np.ndarray:
+    """Per cell, the smallest integer >= lo[i] satisfying a monotone predicate.
+
+    pred(m, cells) tests probe m[j] of cell cells[j] and returns a bool array.
+    All cells advance in lockstep, and each sees the probes of a scalar
+    search: lo, then doubling from max(lo, 1), then bisection.  So every
+    answer is the scalar answer, also where a floating-point predicate is not
+    perfectly monotone.  Raises ValueError when a cell fails at SEARCH_LIMIT.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    found = pred(lo, np.arange(lo.size))
+    # a failed lo >= 1 is also the first doubling probe, so start at 2 lo
+    hi = np.where(found, lo, np.maximum(2 * lo, 1))
+    grow = np.flatnonzero(~found)
+    while grow.size:
+        grow = grow[~pred(hi[grow], grow)]
+        if grow.size and hi[grow].max() >= SEARCH_LIMIT:
+            raise ValueError("no solution up to 2**62")
+        lo[grow] = hi[grow]
+        hi[grow] *= 2
+    split = np.flatnonzero(hi - lo > 1)
+    while split.size:
+        mid = lo[split] + (hi[split] - lo[split]) // 2
+        ok = pred(mid, split)
+        hi[split[ok]] = mid[ok]
+        lo[split[~ok]] = mid[~ok]
+        split = split[hi[split] - lo[split] > 1]
     return hi
+
+
+def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarray:
+    """Per cell, the fewest ions m >= k_star with P(X >= k_star | m, p1) >= target."""
+    # P(X >= k) = I_p1(k, m-k+1), the ufunc behind binomial_tail_geq
+    return _search_min(
+        lambda m, i: betainc(k_star[i], m - k_star[i] + 1, p1[i]) >= target, k_star)
 
 
 def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
@@ -164,8 +191,7 @@ def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     p1 = p_onepair(device.p_entangle, budget)
     if p1 <= 0:
         return EstimateResult(k, n_ls, budget, 0, 0.0, False, query.distance)
-    target = device.p_ls_confidence
-    n = _search_min(lambda m: binomial_tail_geq(m, p1, k_star) >= target, k_star)
+    n = int(_ions_needed(np.array([k_star]), np.array([p1]), device.p_ls_confidence)[0])
     return EstimateResult(k, n_ls, budget, n, device.pulse_rate_hz / max(budget, 1),
                           True, query.distance)
 
@@ -175,13 +201,18 @@ def attempts_required(n_ions: int, p_entangle: float, k_star: int,
     """Smallest attempt budget A with P(X >= k_star | n_ions, A) >= p_ls."""
     if not 0 < p_entangle <= 1:
         raise ValueError("p_entangle must be in (0, 1]")
+    if not 0 < p_ls <= 1:
+        raise ValueError("p_ls must be in (0, 1]")
     if k_star < 1:
         return 0
     if k_star > n_ions:
         raise ValueError("infeasible: k_star exceeds n_ions")
-    return _search_min(
-        lambda a: binomial_tail_geq(n_ions, p_onepair(p_entangle, a),
-                                    k_star) >= p_ls, 1)
+
+    def pred(attempts, _cells):
+        return np.array([binomial_tail_geq(n_ions, p_onepair(p_entangle, int(a)), k_star)
+                         >= p_ls for a in attempts])
+
+    return int(_search_min(pred, [1])[0])
 
 
 def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
@@ -205,20 +236,34 @@ def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
 
 def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
                    paper_compat: bool = False) -> list:
-    """min_ions over the (d, T, p_c) grid; rows (d, T, p_c, min_ions, feasible)."""
+    """min_ions over the (d, T, p_c) grid; rows (d, T, p_c, min_ions, feasible).
+
+    Every feasible cell is solved in one lockstep search; each row equals the
+    min_ions answer for its cell.
+    """
     distances = list(distances)
     cycle_times_s = list(cycle_times_s)
     p_c_grid = list(p_c_grid)
     if not (distances and cycle_times_s and p_c_grid):
         raise ValueError("grids must be non-empty")
-    rows = []
-    for d in distances:
+    for d in distances:  # the queries min_ions would get check d and T
         for t in cycle_times_s:
-            q = SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
-            for pc in p_c_grid:
-                res = min_ions(q, replace(device, p_entangle=pc))
-                rows.append((d, t, pc, res.answer, res.feasible))
-    return rows
+            SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
+    if not all(0 < pc <= 1 for pc in p_c_grid):
+        raise ValueError("p_entangle must lie in (0,1]")
+    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
+    k_star = np.repeat([_threshold(pairs_required(d, device.pairs_per_circuit, k),
+                                   paper_compat) for d in distances],
+                       len(cycle_times_s) * len(p_c_grid))
+    budgets = [int(math.floor(t * device.pulse_rate_hz)) for t in cycle_times_s]
+    p1 = np.tile([p_onepair(pc, b) for b in budgets for pc in p_c_grid], len(distances))
+    feasible = p1 > 0
+    answers = np.zeros(p1.size, dtype=np.int64)
+    answers[feasible] = _ions_needed(k_star[feasible], p1[feasible],
+                                     device.p_ls_confidence)
+    cells = itertools.product(distances, cycle_times_s, p_c_grid)
+    return [(d, t, pc, int(n), bool(ok))
+            for (d, t, pc), n, ok in zip(cells, answers, feasible)]
 
 
 # device JSON key -> DeviceParams field

@@ -289,6 +289,12 @@ def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
     ["sweep", "--distances", "3", "--cycle-times-us", "1000", "--points", "0"],
     ["purify", "simulate", "--circuit", "/nonexistent/c.json"],
     ["validate", "--trials", "0"],
+    ["validate", "--p-ls", "1.5"],
+    ["validate", "--p-ls", "0"],
+    ["validate", "--p-ls", "nan"],
+    ["min-ions", "--distance", "0", "--paradigm", "t1000us"],
+    ["rate", "--distance", "3", "--ions", "0"],
+    ["rate", "--distance", "3", "--ions", "100", "--pc", "1e-21"],  # past 2**62 attempts
     ["nonsense"],
     ["min-ions", "--distance", "3", "--cycle-time-us", "nan"],
     ["min-ions", "--distance", "3", "--cycle-time-us", "1000,inf"],

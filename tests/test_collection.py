@@ -1,6 +1,7 @@
 """Monte Carlo collection oracle: determinism, analytic agreement, brackets."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def test_config_validation():
         TrialConfig(n_ions=5, p_entangle=0.5, attempts=-1, trials=10, seed=0)
     with pytest.raises(ValueError):
         TrialConfig(n_ions=5, p_entangle=0.5, attempts=1, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        TrialConfig(n_ions=5, p_entangle=float("nan"), attempts=1, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("field", ["n_ions", "attempts", "trials", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3", None])
+def test_config_counts_must_be_integers(field, value):
+    # attempts=2.5 used to run silently, n_ions=True to fail inside NumPy
+    kwargs = dict(n_ions=5, p_entangle=0.5, attempts=1, trials=10, seed=0)
+    with pytest.raises(ValueError, match=field):
+        TrialConfig(**{**kwargs, field: value})
+    TrialConfig(**{**kwargs, field: np.int64(3)})
 
 
 def test_certain_coupling_fills_every_ion():
@@ -35,6 +48,29 @@ def test_certain_coupling_fills_every_ion():
     assert np.all(r.counts == 17)
     assert r.empirical_tail_geq(17) == 1.0
     assert r.empirical_tail_geq(18) == 0.0
+
+
+def test_rounds_saturate_at_the_int64_maximum():
+    # NumPy clamps a first success past 2**63 to the int64 maximum, so a
+    # budget of that size counts every ion even at p = 1e-300
+    r = simulate_collection(TrialConfig(5, 1e-300, 2 ** 63 - 1, 4, 0))
+    assert np.all(r.counts == 5)
+    assert np.all(simulate_collection(TrialConfig(5, 1e-300, 2 ** 62, 4, 0)).counts == 0)
+
+
+def test_draw_cutoff_splits_draws_exactly_at_the_budget():
+    # a draw at the cutoff lands in round <= A and the next double above it
+    # does not; A * scale alone misses by an ulp in about one case in ten
+    from ionsurgery.collection import _draw_cutoff, _rounds
+
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        p = float(10 ** rng.uniform(-6, np.log10(1 / 3)))
+        scale = -np.log1p(-p) if rng.random() < 0.9 else 1.0
+        budget = int(rng.integers(1, 10 ** 6))
+        x = _draw_cutoff(budget, scale)
+        r_at, r_above = _rounds(np.array([x, np.nextafter(x, np.inf)]), scale)
+        assert r_at <= budget < r_above
 
 
 def test_zero_coupling_or_budget_collects_nothing():
@@ -99,6 +135,15 @@ def test_empirical_min_attempts_trivial_and_infeasible():
         empirical_min_attempts(10, 0.5, 0, 0.999, 100, 3)
 
 
+@pytest.mark.parametrize("solver", [empirical_min_attempts, empirical_attempts_bracket])
+def test_empirical_solvers_reject_bad_k_star_and_p_ls(solver):
+    # a k_star of 0 used to read the maximum through np.partition(..., -1)
+    for k_star, p_ls in ((0, 0.9), (-1, 0.9), (11, 0.9), (5, 1.5), (5, 0.0),
+                         (5, float("nan"))):
+        with pytest.raises(ValueError):
+            solver(10, 0.01, k_star, p_ls, 1000, 1)
+
+
 def test_empirical_min_attempts_is_monotone_in_p_ls():
     vals = [empirical_min_attempts(45, 2.18e-4, 45, q, 4000, 17)
             for q in (0.5, 0.9, 0.99, 0.999)]
@@ -142,3 +187,26 @@ def test_collection_report_shape_and_determinism():
     assert rep["mean_count"] == r.mean
     assert rep["empirical_tail"]["5"] == r.empirical_tail_geq(5)
     json.dumps(rep)  # JSON-ready
+
+
+# ---------------------------------------------------------------------------
+# pinned draws
+
+def _snapshot_mismatches(select) -> list:
+    # recorded by tests/record_collection_snapshot.py on the chunked-geometric
+    # draw loop; every count, threshold and empirical solver output must match
+    from record_collection_snapshot import output
+
+    records = json.loads((Path(__file__).parent / "data" / "collection_snapshot.json")
+                         .read_text())
+    assert len(records) == 250
+    return [r for r in records if select(r) and output(r) != r["output"]]
+
+
+def test_draws_match_pinned_snapshot_bit_for_bit():
+    assert _snapshot_mismatches(lambda r: r["n"] < 1000) == []
+
+
+@pytest.mark.slow
+def test_draws_match_pinned_snapshot_bit_for_bit_at_1000_ions():
+    assert _snapshot_mismatches(lambda r: r["n"] == 1000) == []

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ionsurgery import (
@@ -274,10 +275,23 @@ def test_max_rate_single_attempt_at_perfect_coupling():
 def test_attempts_required_edges():
     assert attempts_required(50, 0.5, 0, 0.999) == 0
     assert attempts_required(45, 1.0, 45, 0.999) == 1
+    assert attempts_required(5, 0.5, 5, 1.0) >= 1
     with pytest.raises(ValueError):
         attempts_required(10, 0.5, 11, 0.999)
     with pytest.raises(ValueError):
         attempts_required(10, 0.0, 5, 0.999)
+    # p_ls outside (0, 1] used to double until an OverflowError
+    for p_ls in (1.5, 0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            attempts_required(10, 0.5, 5, p_ls)
+        with pytest.raises(ValueError):
+            attempts_required(50, 0.5, 0, p_ls)
+
+
+def test_attempts_required_stops_at_the_search_limit():
+    # about 1e300 attempts would be needed: a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        attempts_required(45, 1e-300, 45, 0.999)
 
 
 def test_attempts_required_is_minimal():
@@ -291,7 +305,6 @@ def test_attempts_required_is_minimal():
 # coupling sweep
 
 def test_sweep_structure_and_monotonicity():
-    import numpy as np
     pcs = list(np.geomspace(1e-4, 1e-1, 30))
     t0 = time.perf_counter()
     rows = sweep_coupling([3, 5, 9], [1e-4, 1e-3], pcs, DEV)
@@ -313,6 +326,96 @@ def test_sweep_compat_changes_only_the_answer():
     for a, b in zip(plain, compat):
         assert a[:3] == b[:3] and a[4] == b[4]
         assert b[3] >= a[3]
+
+
+def _scan_min(pred, start: int) -> int:
+    """Brute-force oracle: the first integer >= start satisfying pred."""
+    m = start
+    while not pred(m):
+        m += 1
+    return m
+
+
+SMALL_DEVICES = (DEV, replace(DEV, p_purify=1.0, pairs_per_circuit=2))
+
+
+@pytest.mark.parametrize("paper_compat", [False, True])
+@pytest.mark.parametrize("device", SMALL_DEVICES, ids=["default", "k1"])
+def test_sweep_matches_a_linear_scan(device, paper_compat):
+    # 1e-7 s is a zero-attempt budget: those cells are infeasible
+    distances, times, pcs = [1, 2, 3], [1e-7, 2e-6, 3e-5], [0.01, 0.1, 0.5, 1.0]
+    rows = sweep_coupling(distances, times, pcs, device, paper_compat=paper_compat)
+    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
+    want = []
+    for d in distances:
+        k_star = pairs_required(d, device.pairs_per_circuit, k) + paper_compat
+        for t in times:
+            for pc in pcs:
+                p1 = p_onepair(pc, math.floor(t * device.pulse_rate_hz))
+                n = 0 if p1 == 0 else _scan_min(
+                    lambda m: binomial_tail_geq(m, p1, k_star) >= device.p_ls_confidence,
+                    k_star)
+                want.append((d, t, pc, n, p1 > 0))
+    assert rows == want
+    assert sum(not r[4] for r in rows) == len(distances) * len(pcs)
+    for d, t, pc, n, _ in rows:
+        res = min_ions(SurgeryQuery(d, cycle_time_s=t, paper_compat=paper_compat),
+                       replace(device, p_entangle=pc))
+        assert (res.answer, res.feasible) == (n, n > 0)
+
+
+@pytest.mark.parametrize("p_ls", [0.5, 0.9, 0.999])
+def test_attempts_required_matches_a_linear_scan(p_ls):
+    for n in (1, 5, 20):
+        for k_star in sorted({1, n // 2 + 1, n}):
+            for pc in (0.05, 0.3, 1.0):
+                want = _scan_min(
+                    lambda a: binomial_tail_geq(n, p_onepair(pc, a), k_star) >= p_ls, 1)
+                assert attempts_required(n, pc, k_star, p_ls) == want
+
+
+def _scalar_search_min(pred, lo: int) -> int:
+    """The scalar doubling + bisection search that the lockstep solver repeats."""
+    if pred(lo):
+        return lo
+    hi = max(lo, 1)
+    while not pred(hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_lockstep_search_repeats_the_scalar_probes():
+    # non-monotone predicates: only the same probe sequence gives the same answers
+    from ionsurgery.resources import _search_min
+
+    rng = np.random.default_rng(3)
+    table = rng.random((200, 1024)) < np.linspace(0.02, 0.9, 1024)
+    table[:, 512:] = True  # every doubling stops below 1024
+    lo = rng.integers(0, 40, size=200)
+    got = _search_min(lambda m, cells: table[cells, m], lo)
+    want = [_scalar_search_min(lambda m: table[i, m], int(lo[i])) for i in range(200)]
+    assert got.tolist() == want
+
+
+def test_lockstep_search_stops_at_its_limit():
+    from ionsurgery.resources import SEARCH_LIMIT, _search_min
+
+    assert _search_min(lambda m, _: m >= SEARCH_LIMIT, [1]).tolist() == [SEARCH_LIMIT]
+    with pytest.raises(ValueError):
+        _search_min(lambda m, _: m > SEARCH_LIMIT, [1])
+
+
+def test_sweep_rejects_bad_cells():
+    for args in (([0], [1e-3], [1e-3]), ([3], [float("nan")], [1e-3]),
+                 ([3], [1e-3], [0.0]), ([3], [1e-3], [1.5]), ([3], [1e-3], [float("nan")])):
+        with pytest.raises(ValueError):
+            sweep_coupling(*args, DEV)
 
 
 def test_sweep_rejects_empty_grids():
