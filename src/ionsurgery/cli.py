@@ -14,7 +14,6 @@ package; --device or the IONSURGERY_DEVICE environment variable override it.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -132,22 +131,20 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _table(rows: list, header: list, fmt: str, path) -> None:
-    """rows: list of dicts with keys matching header (values already strings
-    for csv; the json branch re-reads native values stashed under _raw)."""
+def _table(rows: list, columns: dict, fmt: str, path) -> None:
+    """rows: one dict of native values per row, printed whole as JSON; the
+    CSV has one column per `columns` key, formatted by its value."""
     if fmt == "json":
-        payload = [r.get("_raw", {k: r[k] for k in header}) for r in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", path)
+        _emit(json.dumps(rows, indent=2) + "\n", path)
         return
-    buf = []
-    buf.append(",".join(header))
+    buf = [",".join(columns)]
     for r in rows:
-        buf.append(",".join(str(r[k]) for k in header))
+        buf.append(",".join(f(r[k]) for k, f in columns.items()))
     _emit("\n".join(buf) + "\n", path)
 
 
-def _fmt_us(t_s: float) -> str:
-    return f"{t_s * 1e6:g}"
+def _fmt_bool(v: bool) -> str:
+    return str(v).lower()
 
 
 def _fmt_rate(r: float) -> str:
@@ -155,7 +152,8 @@ def _fmt_rate(r: float) -> str:
     return "0.0" if r == 0 else f"{r:.10g}"
 
 
-def _strict_exit(args, all_infeasible: bool) -> int:
+def _strict_exit(args, rows: list) -> int:
+    all_infeasible = all(not r["feasible"] for r in rows)
     return 1 if getattr(args, "strict", False) and all_infeasible else 0
 
 
@@ -172,17 +170,11 @@ def _cmd_min_ions(args, parser) -> int:
             q = SurgeryQuery(distance=d, cycle_time_s=t,
                              paper_compat=args.paper_compat)
             res = min_ions(q, dev)
-            rows.append({
-                "distance": d,
-                "cycle_time_us": _fmt_us(t),
-                "min_ions": res.answer,
-                "feasible": str(res.feasible).lower(),
-                "_raw": {"distance": d, "cycle_time_us": t * 1e6,
-                         "min_ions": res.answer, "feasible": res.feasible},
-            })
-    _table(rows, ["distance", "cycle_time_us", "min_ions", "feasible"],
-           args.format, args.output)
-    return _strict_exit(args, all(not r["_raw"]["feasible"] for r in rows))
+            rows.append({"distance": d, "cycle_time_us": t * 1e6,
+                         "min_ions": res.answer, "feasible": res.feasible})
+    _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "min_ions": str,
+                  "feasible": _fmt_bool}, args.format, args.output)
+    return _strict_exit(args, rows)
 
 
 def _cmd_rate(args, parser) -> int:
@@ -195,14 +187,12 @@ def _cmd_rate(args, parser) -> int:
             q = SurgeryQuery(distance=d, n_ions=n,
                              paper_compat=args.paper_compat)
             res = max_rate(q, dev)
-            rows.append({
-                "distance": d, "n_ions": n, "rate_hz": _fmt_rate(res.rate_hz),
-                "_raw": {"distance": d, "n_ions": n, "rate_hz": res.rate_hz,
+            rows.append({"distance": d, "n_ions": n, "rate_hz": res.rate_hz,
                          "full_surgery_rate_hz": res.full_surgery_rate_hz,
-                         "feasible": res.feasible},
-            })
-    _table(rows, ["distance", "n_ions", "rate_hz"], args.format, args.output)
-    return _strict_exit(args, all(not r["_raw"]["feasible"] for r in rows))
+                         "feasible": res.feasible})
+    _table(rows, {"distance": str, "n_ions": str, "rate_hz": _fmt_rate},
+           args.format, args.output)
+    return _strict_exit(args, rows)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -219,24 +209,19 @@ def _cmd_sweep(args, parser) -> int:
     else:
         grid = [float(v) for v in
                 np.geomspace(args.pc_from, args.pc_to, args.points)]
-    rows = []
-    for d, t, pc, answer, feasible in sweep_coupling(
-            distances, times, grid, dev, paper_compat=args.paper_compat):
-        rows.append({
-            "distance": d, "cycle_time_us": _fmt_us(t), "p_c": f"{pc:.9g}",
-            "min_ions": answer,
-            "_raw": {"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
-                     "min_ions": answer, "feasible": feasible},
-        })
-    _table(rows, ["distance", "cycle_time_us", "p_c", "min_ions"],
-           args.format, args.output)
-    return _strict_exit(args, all(not r["_raw"]["feasible"] for r in rows))
+    rows = [{"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
+             "min_ions": answer, "feasible": feasible}
+            for d, t, pc, answer, feasible in sweep_coupling(
+                distances, times, grid, dev, paper_compat=args.paper_compat)]
+    _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "p_c": "{:.9g}".format,
+                  "min_ions": str}, args.format, args.output)
+    return _strict_exit(args, rows)
 
 
 def _cmd_purify_simulate(args, parser) -> int:
     try:
         circ = load_circuit(args.circuit)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         parser.error(f"bad circuit file: {exc}")
     out = simulate(circ, _parse_input(args.input, parser), NOISE[args.noise])
     report = {
@@ -281,22 +266,14 @@ def _cmd_purify_benchmark(args, parser) -> int:
         parser.error(f"no circuit JSON files under {args.circuits!r}")
     try:
         circuits = [load_circuit(p) for p in paths]
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         parser.error(f"bad circuit file: {exc}")
-    rows = []
-    for p, row in zip(paths, benchmark_sweep(circuits, NOISE[args.noise])):
-        rows.append({
-            "n_pairs": row.n_pairs,
-            "success_probability": f"{row.success_probability:.6f}",
-            "output_fidelity": f"{row.output_fidelity:.6f}",
-            "circuit_path": str(p),
-            "_raw": {"n_pairs": row.n_pairs,
-                     "success_probability": row.success_probability,
-                     "output_fidelity": row.output_fidelity,
-                     "circuit_path": str(p)},
-        })
-    _table(rows, ["n_pairs", "success_probability", "output_fidelity",
-                  "circuit_path"], args.format, args.output)
+    rows = [{"n_pairs": row.n_pairs, "success_probability": row.success_probability,
+             "output_fidelity": row.output_fidelity, "circuit_path": str(p)}
+            for p, row in zip(paths, benchmark_sweep(circuits, NOISE[args.noise]))]
+    _table(rows, {"n_pairs": str, "success_probability": "{:.6f}".format,
+                  "output_fidelity": "{:.6f}".format, "circuit_path": str},
+           args.format, args.output)
     return 0
 
 

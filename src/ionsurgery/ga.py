@@ -34,6 +34,10 @@ from .quantum import (
 )
 
 MIN_SUCCESS = 0.01  # circuits succeeding less often than this score zero
+MUTATION_RATE = 0.1  # per-site; sites = gates + bases + relations
+CROSSOVER_RATE = 0.7
+MAX_OPS = 24  # gates per genome
+ELITE_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -42,21 +46,18 @@ class GaConfig:
     generations: int = 150
     n_pairs: int = 3
     seed: int = 0
-    mutation_rate: float = 0.1  # per-site; sites = gates + bases + relations
-    crossover_rate: float = 0.7
-    max_ops: int = 24
-    elite_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "n_pairs", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.n_pairs not in (3, 4, 5):
             raise ValueError("n_pairs must be 3, 4 or 5")
-        for r in (self.mutation_rate, self.crossover_rate, self.elite_fraction):
-            if not (0 <= r <= 1):
-                raise ValueError("rates must lie in [0,1]")
-        if self.generations < 1 or self.max_ops < 1:
-            raise ValueError("generations and max_ops must be positive")
+        if self.generations < 1:
+            raise ValueError("generations must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,14 @@ def _random_motif(rng, n_pairs: int) -> list:
     return [("clifford", side, i, int(rng.integers(24)))]
 
 
-def _random_genome(rng, n_pairs: int, max_ops: int) -> dict:
+def _random_genome(rng, n_pairs: int) -> dict:
     gates = []
     for _ in range(int(rng.integers(1, 6))):
         gates.extend(_random_motif(rng, n_pairs))
     bases = {(p, s): BASES[int(rng.integers(3))]
              for p in range(1, n_pairs) for s in SIDES}
     relations = {p: RELATIONS[int(rng.integers(2))] for p in range(1, n_pairs)}
-    return {"gates": gates[:max_ops], "bases": bases, "relations": relations}
+    return {"gates": gates[:MAX_OPS], "bases": bases, "relations": relations}
 
 
 def _copy(g: dict) -> dict:
@@ -153,12 +154,12 @@ def _copy(g: dict) -> dict:
             "relations": dict(g["relations"])}
 
 
-def _mutate_once(g: dict, rng, n_pairs: int, max_ops: int) -> None:
+def _mutate_once(g: dict, rng, n_pairs: int) -> None:
     r = rng.random()
     if r < 0.35:  # insert a motif
         pos = int(rng.integers(len(g["gates"]) + 1))
         g["gates"][pos:pos] = _random_motif(rng, n_pairs)
-        g["gates"] = g["gates"][:max_ops]
+        g["gates"] = g["gates"][:MAX_OPS]
     elif r < 0.55 and g["gates"]:  # delete
         del g["gates"][int(rng.integers(len(g["gates"])))]
     elif r < 0.70 and g["gates"]:  # redraw one gate in place
@@ -172,21 +173,21 @@ def _mutate_once(g: dict, rng, n_pairs: int, max_ops: int) -> None:
         g["relations"][p] = RELATIONS[1 - RELATIONS.index(g["relations"][p])]
 
 
-def _mutate(g: dict, rng, n_pairs: int, max_ops: int, rate: float) -> dict:
+def _mutate(g: dict, rng, n_pairs: int, rate: float) -> dict:
     # rate is per-site: one Bernoulli(rate) trial per mutable locus, so the
     # number of events scales with genome length (gates + bases + relations,
     # +1 for the length locus itself)
     g = _copy(g)
     n_sites = len(g["gates"]) + len(g["bases"]) + len(g["relations"]) + 1
     for _ in range(int(rng.binomial(n_sites, rate))):
-        _mutate_once(g, rng, n_pairs, max_ops)
+        _mutate_once(g, rng, n_pairs)
     return g
 
 
-def _crossover(g1: dict, g2: dict, rng, n_pairs: int, max_ops: int) -> dict:
+def _crossover(g1: dict, g2: dict, rng, n_pairs: int) -> dict:
     i = int(rng.integers(len(g1["gates"]) + 1))
     j = int(rng.integers(len(g2["gates"]) + 1))
-    gates = (g1["gates"][:i] + g2["gates"][j:])[:max_ops]
+    gates = (g1["gates"][:i] + g2["gates"][j:])[:MAX_OPS]
     bases = {}
     relations = {}
     for p in range(1, n_pairs):
@@ -210,9 +211,8 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
     """
     rho = resolve_input(input_spec)
     rng = np.random.default_rng(config.seed)
-    n_pairs, max_ops = config.n_pairs, config.max_ops
-    pop = [_random_genome(rng, n_pairs, max_ops)
-           for _ in range(config.population_size)]
+    n_pairs = config.n_pairs
+    pop = [_random_genome(rng, n_pairs) for _ in range(config.population_size)]
 
     cache = {}
     pool = []  # (key, circuit, outcome) in first-evaluation order
@@ -230,7 +230,7 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
             pool.append((circ, *hit))
         return hit
 
-    n_elite = max(1, int(round(config.elite_fraction * config.population_size)))
+    n_elite = max(1, int(round(ELITE_FRACTION * config.population_size)))
     for _ in range(config.generations):
         scored = sorted(((evaluate(g)[0], i, g) for i, g in enumerate(pop)),
                         key=lambda t: (-t[0], t[1]))
@@ -246,11 +246,11 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
 
         nxt = elites
         while len(nxt) < config.population_size:
-            if rng.random() < config.crossover_rate:
-                child = _crossover(tournament(), tournament(), rng, n_pairs, max_ops)
+            if rng.random() < CROSSOVER_RATE:
+                child = _crossover(tournament(), tournament(), rng, n_pairs)
             else:
                 child = _copy(tournament())
-            nxt.append(_mutate(child, rng, n_pairs, max_ops, config.mutation_rate))
+            nxt.append(_mutate(child, rng, n_pairs, MUTATION_RATE))
         pop = nxt
 
     if archive:

@@ -81,12 +81,14 @@ class AcceptRule:
 
 @dataclass(frozen=True)
 class PurificationCircuit:
-    """Gate/measurement program over n Bell pairs with an accept predicate."""
+    """Gate/measurement program over n Bell pairs with an accept predicate.
+
+    Pair 0 is the output pair; it is never measured.
+    """
 
     n_pairs: int
     ops: tuple
     accept: tuple
-    output_pair: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -96,8 +98,6 @@ class PurificationCircuit:
     def _check(self):
         if not (MIN_PAIRS <= self.n_pairs <= MAX_PAIRS):
             raise ValueError(f"n_pairs must be {MIN_PAIRS}..{MAX_PAIRS}")
-        if self.output_pair != 0:
-            raise ValueError("output_pair is fixed at 0")
         measured = set()
         labels = {}
         for op in self.ops:
@@ -167,11 +167,12 @@ class PurificationCircuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PurificationCircuit":
-        _check_keys(d, _CIRCUIT_KEYS, "circuit")
+        _check_keys(d, _CIRCUIT_KEYS, "circuit", optional={"accept"})
         ops = []
-        for o in d["ops"]:
-            kind = o["kind"]
-            if kind not in _OP_KEYS:
+        for o in _list_field(d, "ops"):
+            _check_object(o, "op")
+            kind = o.get("kind")
+            if not isinstance(kind, str) or kind not in _OP_KEYS:
                 raise ValueError(f"unknown op kind {kind!r}")
             _check_keys(o, _OP_KEYS[kind], f"{kind} op")
             if kind == "clifford":
@@ -179,14 +180,15 @@ class PurificationCircuit:
                                                _int_field(o, "index")))
             elif kind == "measure":
                 ops.append(Measure(_int_field(o, "pair"), o["side"], o["basis"],
-                                   str(o["record_label"])))
+                                   _str_field(o, "record_label")))
             else:
                 ops.append(TwoQubitGate(kind, o["side"], _int_field(o, "control_pair"),
                                         _int_field(o, "target_pair")))
         accept = []
-        for a in d.get("accept", []):
+        for a in _list_field(d, "accept", []):
             _check_keys(a, _ACCEPT_KEYS, "accept rule")
-            accept.append(AcceptRule(a["label_i"], a["label_j"], a["relation"]))
+            accept.append(AcceptRule(_str_field(a, "label_i"), _str_field(a, "label_j"),
+                                     a["relation"]))
         return cls(_int_field(d, "n_pairs"), tuple(ops), tuple(accept))
 
     def to_json(self, indent: int = 1) -> str:
@@ -197,16 +199,39 @@ class PurificationCircuit:
         return cls.from_dict(json.loads(text))
 
 
-def _check_keys(obj: dict, known: set, what: str) -> None:
+def _check_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+
+
+def _check_keys(obj: dict, known: set, what: str, optional=frozenset()) -> None:
+    _check_object(obj, what)
     extra = set(obj) - known
     if extra:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    missing = known - optional - set(obj)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
 def _int_field(obj: dict, key: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _str_field(obj: dict, key: str) -> str:
+    v = obj[key]
+    if not isinstance(v, str):
+        raise ValueError(f"{key} must be a string, got {v!r}")
+    return v
+
+
+def _list_field(obj: dict, key: str, default=None) -> list:
+    v = obj.get(key, default)
+    if not isinstance(v, list):
+        raise ValueError(f"{key} must be a list, got {v!r}")
     return v
 
 

@@ -1,8 +1,9 @@
 """Exact dense density-matrix substrate for few-qubit purification circuits.
 
 Convention: computational basis |q0 q1 ... q_{n-1}> with q0 the MOST
-significant bit, row-major entries, complex128 throughout.  All operations
-are pure functions; DensityMatrix instances are immutable after construction.
+significant bit, row-major entries, complex128 throughout.  The `_raw`
+kernels are pure functions on bare ndarrays and are what `purify.simulate`
+runs on; DensityMatrix instances are immutable after construction.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ CNOT = np.array([[1, 0, 0, 0],
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-_AXES = "XYZ"
 
 BELL_KINDS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 _BELL_VECTORS = {
@@ -77,10 +77,6 @@ class DensityMatrix:
             if lo < PSD_TOL:
                 raise ValueError(f"minimum eigenvalue {lo:.3e} below tolerance")
         return self
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
 
 
 @dataclass(frozen=True)
@@ -201,15 +197,12 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndar
     return out
 
 
-def _basis_projectors(basis: str):
-    if basis not in _AXES:
-        raise ValueError("basis must be one of X, Y, Z")
-    sigma = _PAULIS[_AXES.index(basis)]
-    return (I2 + sigma) / 2, (I2 - sigma) / 2
-
-
 def _project_raw(rho: np.ndarray, proj: np.ndarray, target: int, n: int) -> np.ndarray:
-    """P rho P for a single-qubit projector (unnormalized)."""
+    """P rho P for a single-qubit projector (unnormalized).
+
+    The simulator measures with `_measure_raw`; this is the reference it is
+    tested against.
+    """
     return _apply_unitary_raw(rho, proj, [target], n)
 
 
@@ -362,14 +355,9 @@ CLIFFORD_CONJUGATE_PARTNER = tuple(
     clifford_index(np.conj(u)) for u in CLIFFORD_UNITARIES
 )
 
-_NAMED_GATES = {
-    "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z,
-    "H": HADAMARD, "S": S_GATE, "CNOT": CNOT, "CZ": CZ,
-}
-
 
 # ---------------------------------------------------------------------------
-# constructors
+# Bell states, the measured pair and fidelity
 
 def bell_state(kind: str) -> DensityMatrix:
     """Rank-1 projector onto the named Bell state."""
@@ -377,11 +365,6 @@ def bell_state(kind: str) -> DensityMatrix:
         raise ValueError(f"kind must be one of {BELL_KINDS}")
     v = _BELL_VECTORS[kind]
     return DensityMatrix(2, np.outer(v, v.conj()))
-
-
-def bell_diagonal(f: float, px: float, pz: float, py: float) -> DensityMatrix:
-    """Density matrix of BellDiagonalState(f, px, pz, py)."""
-    return BellDiagonalState(f, px, pz, py).to_density_matrix()
 
 
 # Measured ion-ion entangled pair from a two-node trapped-ion network
@@ -413,99 +396,6 @@ def stephenson_pair(rotated: bool = True) -> DensityMatrix:
     return DensityMatrix(2, m)
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; a's qubits become the most significant block."""
-    n = a.num_qubits + b.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"combined size {n} exceeds {MAX_QUBITS} qubits")
-    return DensityMatrix(n, np.kron(a.entries, b.entries))
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-def _resolve_gate(gate) -> np.ndarray:
-    if isinstance(gate, str):
-        try:
-            return _NAMED_GATES[gate]
-        except KeyError:
-            raise ValueError(f"unknown gate name {gate!r}") from None
-    if isinstance(gate, (int, np.integer)):
-        return clifford_unitary(int(gate))
-    u = np.asarray(gate, dtype=complex)
-    if u.shape not in ((2, 2), (4, 4)):
-        raise ValueError("gate must be a 2x2 or 4x4 unitary")
-    return u
-
-
-def apply_gate(state: DensityMatrix, gate, targets) -> DensityMatrix:
-    """U rho U^dag for a named gate, Clifford index, or explicit unitary."""
-    targets = [int(t) for t in (targets if hasattr(targets, "__len__") else [targets])]
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct")
-    if any(not (0 <= t < state.num_qubits) for t in targets):
-        raise ValueError("target index out of range")
-    u = _resolve_gate(gate)
-    if u.shape[0] != 2 ** len(targets):
-        raise ValueError("gate dimension does not match number of targets")
-    out = _apply_unitary_raw(state.entries, u, targets, state.num_qubits)
-    return DensityMatrix(state.num_qubits, out)
-
-
-def depolarize(state: DensityMatrix, targets, p: float) -> DensityMatrix:
-    """(1-p) rho + p * uniform non-identity-Pauli mixture on targets."""
-    if not (0 <= p <= 1):
-        raise ValueError("p must lie in [0,1]")
-    targets = [int(t) for t in (targets if hasattr(targets, "__len__") else [targets])]
-    if len(targets) not in (1, 2) or len(set(targets)) != len(targets):
-        raise ValueError("targets must be 1 or 2 distinct qubits")
-    if any(not (0 <= t < state.num_qubits) for t in targets):
-        raise ValueError("target index out of range")
-    out = _depolarize_raw(state.entries, p, targets, state.num_qubits)
-    return DensityMatrix(state.num_qubits, out)
-
-
-def measure_branches(state: DensityMatrix, qubit: int, basis: str, p_meas: float = 0.0):
-    """Both branches of a projective X/Y/Z measurement with record bitflips.
-
-    Returns [(prob0, state0), (prob1, state1)].  Branch b's probability and
-    post-state mix the true outcomes as (1-p_meas) P(b) + p_meas P(not b);
-    the measured qubit is left in place, projected, for the caller to trace
-    out.  A zero-probability branch carries an unnormalized (zero) state.
-    """
-    if not (0 <= p_meas <= 1):
-        raise ValueError("p_meas must lie in [0,1]")
-    if not (0 <= qubit < state.num_qubits):
-        raise ValueError("qubit index out of range")
-    n = state.num_qubits
-    p_up, p_dn = _basis_projectors(basis)
-    s0 = _project_raw(state.entries, p_up, qubit, n)
-    s1 = _project_raw(state.entries, p_dn, qubit, n)
-    b0 = (1 - p_meas) * s0 + p_meas * s1
-    b1 = (1 - p_meas) * s1 + p_meas * s0
-    out = []
-    for b in (b0, b1):
-        pr = float(np.trace(b).real)
-        if pr > 1e-15:
-            out.append((pr, DensityMatrix(n, b / pr)))
-        else:
-            out.append((0.0, DensityMatrix(n, b)))
-    return out
-
-
-def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on `keep` (sorted qubit indices)."""
-    keep = [int(q) for q in keep]
-    if not keep:
-        raise ValueError("keep must be non-empty")
-    if keep != sorted(set(keep)):
-        raise ValueError("keep must be sorted and distinct")
-    if any(not (0 <= q < state.num_qubits) for q in keep):
-        raise ValueError("keep index out of range")
-    out = _partial_trace_raw(state.entries, keep, state.num_qubits)
-    return DensityMatrix(len(keep), out)
-
-
 def fidelity_to_bell(state: DensityMatrix, kind: str = "phi_plus") -> float:
     """<bell| rho |bell> for a 2-qubit state."""
     if state.num_qubits != 2:
@@ -514,22 +404,3 @@ def fidelity_to_bell(state: DensityMatrix, kind: str = "phi_plus") -> float:
         raise ValueError(f"kind must be one of {BELL_KINDS}")
     v = _BELL_VECTORS[kind]
     return float((v.conj() @ state.entries @ v).real)
-
-
-def twirl(state: DensityMatrix) -> BellDiagonalState:
-    """Bell-diagonal reduction: the four Bell-basis diagonal weights.
-
-    Preserves the phi+ fidelity exactly (f equals fidelity_to_bell).
-    """
-    if state.num_qubits != 2:
-        raise ValueError("twirl needs a 2-qubit state")
-    w = {k: fidelity_to_bell(state, k) for k in BELL_KINDS}
-    f = w["phi_plus"]
-    # clamp the tiny negative weights that marginally-PSD measured data allows
-    wx = max(w["psi_plus"], 0.0)
-    wz = max(w["phi_minus"], 0.0)
-    wy = max(w["psi_minus"], 0.0)
-    rest = wx + wy + wz
-    if rest <= 0:
-        return BellDiagonalState(f, 1 / 3, 1 / 3, 1 / 3)
-    return BellDiagonalState(f, wx / rest, wz / rest, wy / rest)

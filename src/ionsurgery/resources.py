@@ -22,6 +22,12 @@ import numpy as np
 from scipy.special import betainc
 
 
+def _check_int(name: str, v) -> None:
+    """Counts are Python or NumPy integers; bools and floats are rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Hardware and confidence constants of one modular trapped-ion device."""
@@ -42,6 +48,7 @@ class DeviceParams:
             v = getattr(self, name)
             if not (0 < v <= 1):
                 raise ValueError(f"{name} must lie in (0,1]")
+        _check_int("pairs_per_circuit", self.pairs_per_circuit)
         if self.pairs_per_circuit < 2:
             raise ValueError("pairs_per_circuit must be at least 2")
 
@@ -56,6 +63,7 @@ class SurgeryQuery:
     paper_compat: bool = False
 
     def __post_init__(self):
+        _check_int("distance", self.distance)
         if self.distance < 1:
             raise ValueError("distance must be at least 1")
         if (self.cycle_time_s is None) == (self.n_ions is None):
@@ -63,8 +71,10 @@ class SurgeryQuery:
         if self.cycle_time_s is not None and not (
                 math.isfinite(self.cycle_time_s) and self.cycle_time_s > 0):
             raise ValueError("cycle_time_s must be positive and finite")
-        if self.n_ions is not None and self.n_ions < 1:
-            raise ValueError("n_ions must be at least 1")
+        if self.n_ions is not None:
+            _check_int("n_ions", self.n_ions)
+            if self.n_ions < 1:
+                raise ValueError("n_ions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -281,6 +291,8 @@ def load_device(path) -> DeviceParams:
 
 def device_from_dict(raw: dict) -> DeviceParams:
     """Device from short-name keys; omitted keys take the packaged defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"device must be a JSON object, got {raw!r}")
     extra = set(raw) - set(_DEVICE_KEYS)
     if extra:
         raise ValueError(f"unknown device keys: {sorted(extra)}")
@@ -292,10 +304,8 @@ def device_from_dict(raw: dict) -> DeviceParams:
 
 
 def _device_value(key: str, v):
-    """N_p must be a JSON integer; every other field a finite JSON number."""
+    """Every float field must be a finite JSON number; DeviceParams checks N_p."""
     if key == "N_p":
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"N_p must be an integer, got {v!r}")
         return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{key} must be a number, got {v!r}")

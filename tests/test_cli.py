@@ -264,7 +264,8 @@ def test_broken_env_device_is_a_usage_error(capsys, tmp_path, monkeypatch):
                                      ["rate", "--ions", "100"]])
 @pytest.mark.parametrize("device", [{"R": float("inf")}, {"R": float("nan")},
                                     {"N_p": 3.5}, {"N_p": "3"},
-                                    {"p_c": True}, {"R": "1e6"}, {"F_ideal": None}])
+                                    {"p_c": True}, {"R": "1e6"}, {"F_ideal": None},
+                                    [], 3, None, "x"])
 def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
         capsys, tmp_path, command, device):
     path = tmp_path / "dev.json"
@@ -319,9 +320,13 @@ def test_bad_input_spec_exits_2(capsys, tmp_path):
 
 def test_circuit_file_with_unknown_key_or_float_count_exits_2(capsys, tmp_path):
     raw = isg.bbpssw_circuit().to_dict()
-    for edit in ({"comment": "x"}, {"n_pairs": 2.5}):
+    op = raw["ops"][0]
+    docs = [{**raw, **edit} for edit in (
+        {"comment": "x"}, {"n_pairs": 2.5}, {"ops": [1]}, {"ops": "ab"},
+        {"ops": None}, {"accept": [3]}, {"ops": [{**op, "kind": ["cnot"]}]})]
+    for doc in docs + [[]]:
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**raw, **edit}))
+        path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             main(["purify", "simulate", "--circuit", str(path)])
         assert exc.value.code == 2

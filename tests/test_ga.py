@@ -9,7 +9,11 @@ import pytest
 import ionsurgery as isg
 from ionsurgery import GaConfig, PurificationCircuit
 from ionsurgery.ga import (
+    CROSSOVER_RATE,
+    ELITE_FRACTION,
+    MAX_OPS,
     MIN_SUCCESS,
+    MUTATION_RATE,
     _crossover,
     _genome_to_circuit,
     _mutate,
@@ -19,7 +23,8 @@ from ionsurgery.ga import (
 
 def test_config_defaults():
     cfg = GaConfig()
-    assert dataclasses.astuple(cfg) == (100, 150, 3, 0, 0.1, 0.7, 24, 0.1)
+    assert dataclasses.astuple(cfg) == (100, 150, 3, 0)
+    assert (MUTATION_RATE, CROSSOVER_RATE, MAX_OPS, ELITE_FRACTION) == (0.1, 0.7, 24, 0.1)
 
 
 def test_config_validation():
@@ -30,13 +35,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GaConfig(n_pairs=6)
     with pytest.raises(ValueError):
-        GaConfig(mutation_rate=1.5)
-    with pytest.raises(ValueError):
-        GaConfig(crossover_rate=-0.1)
-    with pytest.raises(ValueError):
         GaConfig(generations=0)
-    with pytest.raises(ValueError):
-        GaConfig(max_ops=0)
+    # counts are integers: NumPy integers pass, bools and floats do not
+    assert GaConfig(population_size=np.int64(4), seed=np.int32(3)).population_size == 4
+    for field in ("population_size", "generations", "n_pairs", "seed"):
+        for bad in (3.0, 3.5, True, "3"):
+            with pytest.raises(ValueError):
+                GaConfig(**{field: bad})
 
 
 def test_resolve_input_variants():
@@ -50,7 +55,7 @@ def test_resolve_input_variants():
     with pytest.raises(ValueError):
         isg.resolve_input("werner")
     with pytest.raises(ValueError):
-        isg.resolve_input(isg.tensor(dm, dm))
+        isg.resolve_input(isg.DensityMatrix(4, np.kron(dm.entries, dm.entries)))
     with pytest.raises(TypeError):
         isg.resolve_input(0.94)
 
@@ -111,15 +116,15 @@ def test_archive_pools_all_distinct_circuits():
 def test_variation_operators_always_yield_valid_circuits():
     rng = np.random.default_rng(99)
     for n_pairs in (3, 4, 5):
-        genomes = [_random_genome(rng, n_pairs, 24) for _ in range(20)]
+        genomes = [_random_genome(rng, n_pairs) for _ in range(20)]
         for _ in range(200):
             g = genomes[int(rng.integers(len(genomes)))]
-            mutated = _mutate(g, rng, n_pairs, 24, 0.5)
+            mutated = _mutate(g, rng, n_pairs, 0.5)
             other = genomes[int(rng.integers(len(genomes)))]
-            crossed = _crossover(g, other, rng, n_pairs, 24)
+            crossed = _crossover(g, other, rng, n_pairs)
             for child in (mutated, crossed):
                 circ = _genome_to_circuit(child, n_pairs)  # validates
-                assert len(child["gates"]) <= 24
+                assert len(child["gates"]) <= MAX_OPS
                 assert circ.n_pairs == n_pairs
                 # measurement-terminal: every sacrificial pair measured on
                 # both sides and tied by exactly one accept rule

@@ -1,11 +1,15 @@
 """Package surface: the public name list and the cost of importing it."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import ionsurgery as isg
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_public_names_resolve_and_are_listed_once():
@@ -22,3 +26,16 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # the benchmark's tracer wraps these module attributes; a name that
+    # disappears leaves its per-layer metric silently absent
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pairs = [(m, a) for m, a, *_ in spans.SPANS + spans.COUNTS]
+    assert pairs
+    missing = [f"{m}.{a}" for m, a in pairs
+               if not hasattr(importlib.import_module(m), a)]
+    assert missing == []

@@ -128,12 +128,28 @@ def test_from_dict_rejects_unknown_kind():
     lambda raw: raw["ops"][0].update(target_pair=1.5),
     lambda raw: raw["ops"][2].update(pair="1"),
     lambda raw: raw["ops"][3].update(pair=True),
+    # malformed shapes: non-objects, non-lists, non-string kinds and labels
+    lambda raw: raw.update(ops=[1]),
+    lambda raw: raw.update(ops="ab"),
+    lambda raw: raw.update(ops=None),
+    lambda raw: raw.update(accept=[3]),
+    lambda raw: [],
+    lambda raw: raw["ops"][0].update(kind=["cnot"]),
+    lambda raw: raw["ops"][2].update(record_label=None),
+    lambda raw: raw["ops"][2].update(record_label=1),
+    lambda raw: raw["accept"][0].update(label_i=None),
+    lambda raw: raw.update(accept={}),
+    # missing keys
+    lambda raw: raw.__delitem__("ops"),
+    lambda raw: raw["ops"][0].__delitem__("kind"),
+    lambda raw: raw["ops"][0].__delitem__("side"),
+    lambda raw: raw["accept"][0].__delitem__("label_j"),
 ])
 def test_from_dict_rejects_unknown_keys_and_non_integer_fields(edit):
     raw = json.loads(isg.bbpssw_circuit().to_json())
-    edit(raw)
+    doc = edit(raw)  # None for an in-place edit, else a replacement document
     with pytest.raises(ValueError):
-        PurificationCircuit.from_dict(raw)
+        PurificationCircuit.from_dict(raw if doc is None else doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Density-matrix core: states, gates, channels, the Clifford table."""
+"""Density-matrix core: states, raw kernels, the Clifford table."""
 
 import numpy as np
 import pytest
@@ -75,7 +75,7 @@ def test_bell_states_orthonormal():
 
 
 def test_bell_diagonal_fidelity_by_construction():
-    rho = isg.bell_diagonal(0.94, 1 / 3, 1 / 3, 1 / 3)
+    rho = isg.BellDiagonalState(0.94, 1 / 3, 1 / 3, 1 / 3).to_density_matrix()
     assert isg.fidelity_to_bell(rho) == pytest.approx(0.94, abs=1e-14)
     s = isg.BellDiagonalState(0.9, 0.5, 0.25, 0.25)
     w = s.weights()
@@ -101,49 +101,28 @@ def test_noise_model_presets():
 # gates
 
 def test_qubit_zero_is_most_significant():
-    zero2 = DensityMatrix(2, np.diag([1, 0, 0, 0]).astype(complex))
-    flipped = isg.apply_gate(zero2, "X", 0)
-    assert flipped.entries[2, 2] == pytest.approx(1.0)  # |10>
-    flipped = isg.apply_gate(zero2, "X", 1)
-    assert flipped.entries[1, 1] == pytest.approx(1.0)  # |01>
-
-
-def test_apply_gate_accepts_name_index_and_matrix():
-    rng = np.random.default_rng(3)
-    rho = random_state(rng, 2)
-    by_name = isg.apply_gate(rho, "H", 1)
-    by_index = isg.apply_gate(rho, isg.CLIFFORD_INDEX["H"], 1)
-    by_matrix = isg.apply_gate(rho, (X + Z) / np.sqrt(2), 1)
-    assert np.allclose(by_name.entries, by_index.entries, atol=1e-14)
-    assert np.allclose(by_name.entries, by_matrix.entries, atol=1e-14)
-
-
-def test_apply_gate_rejects_bad_targets():
-    rho = isg.bell_state("phi_plus")
-    with pytest.raises(ValueError):
-        isg.apply_gate(rho, "X", 2)
-    with pytest.raises(ValueError):
-        isg.apply_gate(rho, "CNOT", [0, 0])
-    with pytest.raises(ValueError):
-        isg.apply_gate(rho, "CNOT", [0])
-    with pytest.raises(ValueError):
-        isg.apply_gate(rho, "NOPE", 0)
+    zero2 = np.diag([1, 0, 0, 0]).astype(complex)
+    flipped = Q._apply_unitary_raw(zero2, X, [0], 2)
+    assert flipped[2, 2] == pytest.approx(1.0)  # |10>
+    flipped = Q._apply_unitary_raw(zero2, X, [1], 2)
+    assert flipped[1, 1] == pytest.approx(1.0)  # |01>
 
 
 def test_cnot_convention_control_first():
-    ten = DensityMatrix(2, np.diag([0, 0, 1, 0]).astype(complex))  # |10>
-    out = isg.apply_gate(ten, "CNOT", [0, 1])
-    assert out.entries[3, 3] == pytest.approx(1.0)  # |11>
-    out = isg.apply_gate(ten, "CNOT", [1, 0])  # control |0> does nothing
-    assert out.entries[2, 2] == pytest.approx(1.0)
+    ten = np.diag([0, 0, 1, 0]).astype(complex)  # |10>
+    out = Q._apply_unitary_raw(ten, Q.CNOT, [0, 1], 2)
+    assert out[3, 3] == pytest.approx(1.0)  # |11>
+    out = Q._apply_unitary_raw(ten, Q.CNOT, [1, 0], 2)  # control |0> does nothing
+    assert out[2, 2] == pytest.approx(1.0)
 
 
 def test_unitarity_preserves_trace_and_spectrum():
     rng = np.random.default_rng(11)
     rho = random_state(rng, 3)
-    out = isg.apply_gate(isg.apply_gate(rho, "CNOT", [0, 2]), "S", 1)
-    assert np.trace(out.entries) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out.entries)),
+    out = Q._apply_unitary_raw(Q._apply_unitary_raw(rho.entries, Q.CNOT, [0, 2], 3),
+                               Q.S_GATE, [1], 3)
+    assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
                        np.sort(np.linalg.eigvalsh(rho.entries)), atol=1e-10)
 
 
@@ -195,93 +174,100 @@ def test_conjugate_partner_preserves_phi_plus():
 
 def test_depolarize_matches_single_qubit_kraus():
     rng = np.random.default_rng(7)
-    rho = random_state(rng, 3)
+    rho = random_state(rng, 3).entries
     p = 0.3
-    out = isg.depolarize(rho, 1, p)
-    want = (1 - p) * rho.entries
+    out = Q._depolarize_raw(rho, p, [1], 3)
+    want = (1 - p) * rho
     for sig in (X, Y, Z):
-        flip = isg.apply_gate(rho, sig, 1)
-        want = want + (p / 3) * flip.entries
-    assert np.abs(out.entries - want).max() < 1e-14
+        want = want + (p / 3) * Q._apply_unitary_raw(rho, sig, [1], 3)
+    assert np.abs(out - want).max() < 1e-14
 
 
 def test_depolarize_matches_two_qubit_kraus():
     rng = np.random.default_rng(8)
-    rho = random_state(rng, 3)
+    rho = random_state(rng, 3).entries
     p = 0.2
-    out = isg.depolarize(rho, [0, 2], p)
-    want = (1 - p) * rho.entries
+    out = Q._depolarize_raw(rho, p, [0, 2], 3)
+    want = (1 - p) * rho
     paulis = (I2, X, Y, Z)
     for a in range(4):
         for b in range(4):
             if a == b == 0:
                 continue
             u = np.kron(paulis[a], paulis[b])
-            flip = isg.apply_gate(rho, u, [0, 2])
-            want = want + (p / 15) * flip.entries
-    assert np.abs(out.entries - want).max() < 1e-14
+            want = want + (p / 15) * Q._apply_unitary_raw(rho, u, [0, 2], 3)
+    assert np.abs(out - want).max() < 1e-14
 
 
 def test_depolarize_edges():
     rng = np.random.default_rng(9)
-    rho = random_state(rng, 2)
-    same = isg.depolarize(rho, 0, 0.0)
-    assert np.array_equal(same.entries, rho.entries)
+    rho = random_state(rng, 2).entries
+    same = Q._depolarize_raw(rho, 0.0, [0], 2)
+    assert np.array_equal(same, rho)
     # p=1 is the uniform non-identity Pauli mixture: with lam = p*16/15 the
     # closed form reads (1-lam) rho + lam (I/4 around the traced targets)
-    out = isg.depolarize(rho, [0, 1], 1.0)
+    out = Q._depolarize_raw(rho, 1.0, [0, 1], 2)
     lam = 16 / 15
-    want = (1 - lam) * rho.entries + lam * np.eye(4) / 4
-    assert np.abs(out.entries - want).max() < 1e-14
-    with pytest.raises(ValueError):
-        isg.depolarize(rho, [0, 1], 1.5)
-    with pytest.raises(ValueError):
-        isg.depolarize(rho, [0, 0], 0.1)
+    want = (1 - lam) * rho + lam * np.eye(4) / 4
+    assert np.abs(out - want).max() < 1e-14
 
 
 def test_depolarize_fixed_point_is_maximally_mixed():
-    n = 2
-    mixed = DensityMatrix(n, np.eye(4, dtype=complex) / 4)
-    for targets in (0, 1, [0, 1]):
-        out = isg.depolarize(mixed, targets, 0.37)
-        assert np.abs(out.entries - mixed.entries).max() < 1e-15
+    mixed = np.eye(4, dtype=complex) / 4
+    for targets in ([0], [1], [0, 1]):
+        out = Q._depolarize_raw(mixed, 0.37, targets, 2)
+        assert np.abs(out - mixed).max() < 1e-15
 
 
+def record_branches(rho, q, basis, n, p_meas=0.0):
+    """The two record branches of measuring qubit q, as `simulate` forms them:
+    `_measure_raw`'s outcomes mixed by a p_meas record bitflip."""
+    s0, s1 = Q._measure_raw(rho, basis, q, n)
+    return (1 - p_meas) * s0 + p_meas * s1, (1 - p_meas) * s1 + p_meas * s0
+
+
+def ket_state(*kets):
+    """Product of single-qubit kets, as a density matrix."""
+    v = np.array([1.0 + 0j])
+    for k in kets:
+        v = np.kron(v, np.asarray(k, dtype=complex))
+    return np.outer(v, v.conj())
+
+
+# qubit 1 witnesses the post-measurement state of the measured qubit 0:
+# phi+ is |+>|0> after a CNOT that copies qubit 0 onto qubit 1 in Z
 def test_measure_branches_z_on_plus():
-    plus = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
-    (p0, s0), (p1, s1) = isg.measure_branches(plus, 0, "Z")
-    assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
-    assert s0.entries[0, 0] == pytest.approx(1.0)
-    assert s1.entries[1, 1] == pytest.approx(1.0)
+    s0, s1 = record_branches(isg.bell_state("phi_plus").entries, 0, "Z", 2)
+    assert np.trace(s0).real == pytest.approx(0.5)
+    assert np.trace(s1).real == pytest.approx(0.5)
+    assert (s0 / np.trace(s0))[0, 0] == pytest.approx(1.0)
+    assert (s1 / np.trace(s1))[1, 1] == pytest.approx(1.0)
 
 
 def test_measure_branches_x_on_plus_gives_zero_branch():
-    plus = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
-    (p0, s0), (p1, s1) = isg.measure_branches(plus, 0, "X")
-    assert p0 == pytest.approx(1.0)
-    assert p1 == 0.0
-    assert np.abs(s1.entries).max() < 1e-12  # unnormalized zero branch
+    plus = np.array([1, 1]) / np.sqrt(2)
+    s0, s1 = record_branches(ket_state(plus, [1, 0]), 0, "X", 2)
+    assert np.trace(s0).real == pytest.approx(1.0)
+    assert np.abs(s1).max() < 1e-12  # unnormalized zero branch
 
 
 def test_measure_branches_record_bitflip():
-    zero = DensityMatrix(1, np.diag([1, 0]).astype(complex))
-    (p0, _), (p1, s1) = isg.measure_branches(zero, 0, "Z", p_meas=0.1)
-    assert p0 == pytest.approx(0.9)
-    assert p1 == pytest.approx(0.1)
+    zero = ket_state([1, 0], [1, 0])  # qubit 1 copies qubit 0 in Z
+    s0, s1 = record_branches(zero, 0, "Z", 2, p_meas=0.1)
+    assert np.trace(s0).real == pytest.approx(0.9)
+    assert np.trace(s1).real == pytest.approx(0.1)
     # the flipped record still carries the projected-on-0 state
-    assert s1.entries[0, 0] == pytest.approx(1.0)
+    assert (s1 / np.trace(s1))[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        isg.measure_branches(zero, 0, "Q")
-    with pytest.raises(ValueError):
-        isg.measure_branches(zero, 1, "Z")
+        Q._measure_raw(zero, "Q", 0, 2)
 
 
 def test_measure_branch_probabilities_sum_to_one():
     rng = np.random.default_rng(21)
-    rho = random_state(rng, 2)
+    rho = random_state(rng, 2).entries
     for basis in ("X", "Y", "Z"):
-        (p0, _), (p1, _) = isg.measure_branches(rho, 1, basis, p_meas=0.2)
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+        s0, s1 = record_branches(rho, 1, basis, 2, p_meas=0.2)
+        assert (np.trace(s0) + np.trace(s1)).real == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +295,12 @@ def kron_depolarize(rho, p, targets, n):
     return (1 - lam) * rho + lam * mixed
 
 
+def basis_projectors(basis):
+    """The +1 and -1 eigenprojectors of X, Y or Z."""
+    sigma = {"X": X, "Y": Y, "Z": Z}[basis]
+    return (I2 + sigma) / 2, (I2 - sigma) / 2
+
+
 def check_kernels(rho, n, pairs, qubits):
     for c, t in pairs:
         assert np.array_equal(Q._cnot_raw(rho, c, t, n),
@@ -324,8 +316,8 @@ def check_kernels(rho, n, pairs, qubits):
         keep = [i for i in range(n) if i != q]
         for basis in "XYZ":
             got = Q._measure_raw(rho, basis, q, n)
-            for s, proj in zip(got, Q._basis_projectors(basis)):
-                want = Q._partial_trace_raw(Q._apply_unitary_raw(rho, proj, [q], n), keep, n)
+            for s, proj in zip(got, basis_projectors(basis)):
+                want = Q._partial_trace_raw(Q._project_raw(rho, proj, q, n), keep, n)
                 assert np.array_equal(s, want)
 
 
@@ -342,66 +334,24 @@ def test_fast_kernels_are_bitwise_equal_at_ten_qubits():
 
 
 # ---------------------------------------------------------------------------
-# partial trace, tensor, fidelity, twirl
+# partial trace and fidelity
 
 def test_partial_trace_recovers_product_factors():
     rng = np.random.default_rng(13)
-    a, b = random_state(rng, 1), random_state(rng, 2)
-    joint = isg.tensor(a, b)
-    assert joint.num_qubits == 3
-    got_a = isg.partial_trace(joint, [0])
-    got_b = isg.partial_trace(joint, [1, 2])
-    assert np.abs(got_a.entries - a.entries).max() < 1e-14
-    assert np.abs(got_b.entries - b.entries).max() < 1e-14
-
-
-def test_partial_trace_requires_sorted_distinct_keep():
-    rng = np.random.default_rng(14)
-    joint = isg.tensor(random_state(rng, 1), random_state(rng, 2))
-    with pytest.raises(ValueError):
-        isg.partial_trace(joint, [1, 0])
-    with pytest.raises(ValueError):
-        isg.partial_trace(joint, [1, 1])
-    with pytest.raises(ValueError):
-        isg.partial_trace(joint, [])
+    a, b = random_state(rng, 1).entries, random_state(rng, 2).entries
+    joint = np.kron(a, b)
+    assert np.abs(Q._partial_trace_raw(joint, [0], 3) - a).max() < 1e-14
+    assert np.abs(Q._partial_trace_raw(joint, [1, 2], 3) - b).max() < 1e-14
 
 
 def test_partial_trace_of_bell_is_maximally_mixed():
-    bell = isg.bell_state("psi_minus")
-    half = isg.partial_trace(bell, [1])
-    assert np.abs(half.entries - I2 / 2).max() < 1e-14
-
-
-def test_tensor_size_cap():
-    mixed = DensityMatrix(isg.MAX_QUBITS - 1,
-                          np.eye(2 ** (isg.MAX_QUBITS - 1)) / 2 ** (isg.MAX_QUBITS - 1))
-    one = DensityMatrix(1, I2 / 2)
-    assert isg.tensor(mixed, one).num_qubits == isg.MAX_QUBITS
-    with pytest.raises(ValueError):
-        isg.tensor(isg.tensor(mixed, one), one)
+    half = Q._partial_trace_raw(isg.bell_state("psi_minus").entries, [1], 2)
+    assert np.abs(half - I2 / 2).max() < 1e-14
 
 
 def test_fidelity_requires_two_qubits():
     with pytest.raises(ValueError):
         isg.fidelity_to_bell(DensityMatrix(1, I2 / 2))
-
-
-def test_twirl_preserves_bell_weights():
-    rho = isg.stephenson_pair(rotated=True)
-    t = isg.twirl(rho)
-    assert t.f == pytest.approx(isg.fidelity_to_bell(rho), abs=1e-15)
-    w = t.weights()
-    assert w["phi_plus"] == pytest.approx(0.933172, abs=1e-9)
-    assert w["psi_plus"] == pytest.approx(0.004182, abs=1e-6)
-    assert w["phi_minus"] == pytest.approx(0.051828, abs=1e-6)
-    assert w["psi_minus"] == pytest.approx(0.010818, abs=1e-6)
-
-
-def test_twirl_fixes_bell_diagonal_states():
-    s = isg.BellDiagonalState(0.7, 0.5, 0.3, 0.2)
-    t = isg.twirl(s.to_density_matrix())
-    for k, v in s.weights().items():
-        assert t.weights()[k] == pytest.approx(v, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +380,12 @@ def test_stephenson_is_a_valid_state():
 def test_stephenson_fidelities():
     assert isg.fidelity_to_bell(isg.stephenson_pair(rotated=False)) == \
         pytest.approx(0.01124015, abs=1e-10)
-    assert isg.fidelity_to_bell(isg.stephenson_pair(rotated=True)) == \
-        pytest.approx(0.933172, abs=1e-10)
+    rot = isg.stephenson_pair(rotated=True)
+    assert isg.fidelity_to_bell(rot) == pytest.approx(0.933172, abs=1e-10)
+    # the Bell-basis weights of the rotated pair
+    assert isg.fidelity_to_bell(rot, "psi_plus") == pytest.approx(0.004182, abs=1e-6)
+    assert isg.fidelity_to_bell(rot, "phi_minus") == pytest.approx(0.051828, abs=1e-6)
+    assert isg.fidelity_to_bell(rot, "psi_minus") == pytest.approx(0.010818, abs=1e-6)
 
 
 def test_stephenson_frame_change_is_s_tensor_x():

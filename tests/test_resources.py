@@ -62,7 +62,9 @@ def test_device_dict_round_trip(tmp_path):
                                  # every float field takes only a finite JSON number
                                  {"p_c": True}, {"R": "1e6"}, {"p": None},
                                  {"P_pair": [0.999]}, {"P_LS": math.nan},
-                                 {"F_ideal": -math.inf}, {"R": 10 ** 400}])
+                                 {"F_ideal": -math.inf}, {"R": 10 ** 400},
+                                 # a device file holds one JSON object
+                                 [], 3, None, "x"])
 def test_device_from_dict_rejects_non_integer_counts_and_non_finite_rates(raw):
     with pytest.raises(ValueError):
         device_from_dict(raw)
@@ -80,6 +82,10 @@ def test_device_validation():
         DeviceParams(p_purify=1.5)
     with pytest.raises(ValueError):
         DeviceParams(pairs_per_circuit=1)
+    for count in (2.5, 3.0, True):
+        with pytest.raises(ValueError):
+            DeviceParams(pairs_per_circuit=count)
+    assert DeviceParams(pairs_per_circuit=np.int64(3)) == DEV
 
 
 def test_query_validation():
@@ -94,6 +100,14 @@ def test_query_validation():
             SurgeryQuery(distance=3, cycle_time_s=t)
     with pytest.raises(ValueError):
         SurgeryQuery(distance=3, n_ions=0)
+    # counts are integers: NumPy integers pass, bools and floats do not
+    for d in (3.5, 3.0, True):
+        with pytest.raises(ValueError):
+            SurgeryQuery(distance=d, cycle_time_s=1e-3)
+    for n in (100.5, 100.0, True):
+        with pytest.raises(ValueError):
+            SurgeryQuery(distance=3, n_ions=n)
+    assert SurgeryQuery(distance=np.int64(3), n_ions=np.int32(100)).n_ions == 100
 
 
 # ---------------------------------------------------------------------------
