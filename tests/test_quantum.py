@@ -380,12 +380,28 @@ def test_stephenson_is_a_valid_state():
 def test_stephenson_fidelities():
     assert isg.fidelity_to_bell(isg.stephenson_pair(rotated=False)) == \
         pytest.approx(0.01124015, abs=1e-10)
-    rot = isg.stephenson_pair(rotated=True)
-    assert isg.fidelity_to_bell(rot) == pytest.approx(0.933172, abs=1e-10)
-    # the Bell-basis weights of the rotated pair
-    assert isg.fidelity_to_bell(rot, "psi_plus") == pytest.approx(0.004182, abs=1e-6)
-    assert isg.fidelity_to_bell(rot, "phi_minus") == pytest.approx(0.051828, abs=1e-6)
-    assert isg.fidelity_to_bell(rot, "psi_minus") == pytest.approx(0.010818, abs=1e-6)
+    assert isg.fidelity_to_bell(isg.stephenson_pair(rotated=True)) == \
+        pytest.approx(0.933172, abs=1e-10)
+
+
+def test_twirl_preserves_bell_weights():
+    # the Bell twirl of a pair is the Bell-diagonal state of its four
+    # Bell-basis weights; build it from fidelity_to_bell and check both sides
+    rho = isg.stephenson_pair(rotated=True)
+    w = {k: isg.fidelity_to_bell(rho, k) for k in Q.BELL_KINDS}
+    assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
+    r = 1 - w["phi_plus"]
+    t = isg.BellDiagonalState(w["phi_plus"], w["psi_plus"] / r,
+                              w["phi_minus"] / r, w["psi_minus"] / r)
+    assert t.f == pytest.approx(isg.fidelity_to_bell(rho), abs=1e-15)
+    tw = t.weights()
+    assert tw["phi_plus"] == pytest.approx(0.933172, abs=1e-9)
+    assert tw["psi_plus"] == pytest.approx(0.004182, abs=1e-6)
+    assert tw["phi_minus"] == pytest.approx(0.051828, abs=1e-6)
+    assert tw["psi_minus"] == pytest.approx(0.010818, abs=1e-6)
+    dm = t.to_density_matrix()
+    for k in Q.BELL_KINDS:
+        assert isg.fidelity_to_bell(dm, k) == pytest.approx(w[k], abs=1e-14)
 
 
 def test_stephenson_frame_change_is_s_tensor_x():
