@@ -8,12 +8,14 @@ Subcommands
     validate   Monte Carlo check of the analytic collection model
 
 Exit codes: 0 success, 1 only-infeasible results (or failed validation)
-under --strict, 2 usage error, also for any input value the library rejects
-with ValueError.  The default device file ships in the
-package; --device or the IONSURGERY_DEVICE environment variable override it.
+under --strict, 2 usage error: a bad flag, any input value the library
+rejects with ValueError, or an unwritable output path; stdout then stays
+empty.  The default device file ships in the package; --device or the
+IONSURGERY_DEVICE environment variable override it.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -46,7 +48,7 @@ NOISE = {"paper": DEVICE_NOISE, "none": IDEAL_NOISE}
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
-def _parse_ints(text: str, parser) -> list:
+def _parse_ints(text: str) -> list:
     """Integer list spec: '9', '3,5,7' or inclusive range '3..9'."""
     out = []
     for tok in text.split(","):
@@ -61,50 +63,47 @@ def _parse_ints(text: str, parser) -> list:
             else:
                 out.append(int(tok))
         except ValueError:
-            parser.error(f"bad integer list {text!r}")
+            raise ValueError(f"bad integer list {text!r}") from None
     return out
 
 
-def _parse_floats(text: str, parser) -> list:
+def _parse_times_s(text: str) -> list:
+    """Cycle times in microseconds, '1000,100,10', returned in seconds."""
     out = []
     for tok in text.split(","):
         try:
-            out.append(float(tok.strip()))
+            out.append(float(tok.strip()) * 1e-6)
         except ValueError:
-            parser.error(f"bad number list {text!r}")
+            raise ValueError(f"bad number list {text!r}") from None
     return out
 
 
-def _cycle_times_s(args, parser) -> list:
+def _cycle_times_s(args) -> list:
     if args.cycle_time_us is not None:
-        times = [v * 1e-6 for v in _parse_floats(args.cycle_time_us, parser)]
-    else:
-        preset = args.paradigm or "all"
-        names = list(PARADIGMS) if preset == "all" else [preset]
-        times = [PARADIGMS[n] for n in names]
-    return _check_cycle_times(times, parser)
+        return _parse_times_s(args.cycle_time_us)
+    preset = args.paradigm or "all"
+    names = list(PARADIGMS) if preset == "all" else [preset]
+    return [PARADIGMS[n] for n in names]
 
 
-def _check_cycle_times(times: list, parser) -> list:
-    if not all(math.isfinite(t) and t > 0 for t in times):
-        parser.error("cycle times must be positive and finite")
-    return times
-
-
-def _device(args, parser):
+def _device(args):
     path = args.device or os.environ.get("IONSURGERY_DEVICE")
     try:
         dev = load_device(path) if path else default_device()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"bad device file: {exc}")
-    if getattr(args, "pc", None) is not None:
-        if not 0 < args.pc <= 1:
-            parser.error("--pc must be in (0, 1]")
-        dev = replace(dev, p_entangle=args.pc)
-    return dev
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"bad device file: {exc}") from None
+    # replace() re-runs DeviceParams' checks on the new p_entangle
+    return dev if args.pc is None else replace(dev, p_entangle=args.pc)
 
 
-def _parse_input(text: str, parser):
+def _load_circuit(path):
+    try:
+        return load_circuit(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad circuit file: {exc}") from None
+
+
+def _parse_input(text: str):
     if text == "stephenson":
         return resolve_input("stephenson")
     try:
@@ -116,19 +115,22 @@ def _parse_input(text: str, parser):
             f, px, pz, py = (float(v) for v in text.split(":", 1)[1].split(","))
             return BellDiagonalState(f, px, pz, py)
     except (ValueError, TypeError) as exc:
-        parser.error(f"bad --input spec {text!r}: {exc}")
-    parser.error(f"bad --input spec {text!r} "
-                 "(expected stephenson | werner:F | belldiag:F,px,pz,py)")
+        raise ValueError(f"bad --input spec {text!r}: {exc}") from None
+    raise ValueError(f"bad --input spec {text!r} "
+                     "(expected stephenson | werner:F | belldiag:F,px,pz,py)")
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 def _emit(text: str, path) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from None
 
 
 def _table(rows: list, columns: dict, fmt: str, path) -> None:
@@ -154,16 +156,16 @@ def _fmt_rate(r: float) -> str:
 
 def _strict_exit(args, rows: list) -> int:
     all_infeasible = all(not r["feasible"] for r in rows)
-    return 1 if getattr(args, "strict", False) and all_infeasible else 0
+    return 1 if args.strict and all_infeasible else 0
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_min_ions(args, parser) -> int:
-    dev = _device(args, parser)
-    distances = _parse_ints(args.distance, parser)
-    times = _cycle_times_s(args, parser)
+def _cmd_min_ions(args) -> int:
+    dev = _device(args)
+    distances = _parse_ints(args.distance)
+    times = _cycle_times_s(args)
     rows = []
     for d in distances:
         for t in times:
@@ -177,10 +179,10 @@ def _cmd_min_ions(args, parser) -> int:
     return _strict_exit(args, rows)
 
 
-def _cmd_rate(args, parser) -> int:
-    dev = _device(args, parser)
-    distances = _parse_ints(args.distance, parser)
-    ions = _parse_ints(args.ions, parser)
+def _cmd_rate(args) -> int:
+    dev = _device(args)
+    distances = _parse_ints(args.distance)
+    ions = _parse_ints(args.ions)
     rows = []
     for d in distances:
         for n in ions:
@@ -195,20 +197,17 @@ def _cmd_rate(args, parser) -> int:
     return _strict_exit(args, rows)
 
 
-def _cmd_sweep(args, parser) -> int:
-    dev = _device(args, parser)
-    distances = _parse_ints(args.distances, parser)
-    times = _check_cycle_times([v * 1e-6 for v in _parse_floats(args.cycle_times_us, parser)],
-                               parser)
-    if not 0 < args.pc_from <= args.pc_to <= 1:
-        parser.error("need 0 < --pc-from <= --pc-to <= 1")
-    if args.points < 1:
-        parser.error("--points must be at least 1")
-    if args.points == 1:
-        grid = [args.pc_from]
-    else:
-        grid = [float(v) for v in
-                np.geomspace(args.pc_from, args.pc_to, args.points)]
+def _cmd_sweep(args) -> int:
+    dev = _device(args)
+    distances = _parse_ints(args.distances)
+    times = _parse_times_s(args.cycle_times_us)
+    if not args.pc_from <= args.pc_to:
+        raise ValueError("need --pc-from <= --pc-to")
+    # NumPy sets both endpoints exactly, so --points 1 gives [--pc-from];
+    # sweep_coupling rejects the empty grid of --points 0 and any p_c out of
+    # range, also the nan that a negative or infinite endpoint gives here
+    with np.errstate(invalid="ignore"):
+        grid = np.geomspace(args.pc_from, args.pc_to, args.points).tolist()
     rows = [{"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
              "min_ions": answer, "feasible": feasible}
             for d, t, pc, answer, feasible in sweep_coupling(
@@ -218,12 +217,9 @@ def _cmd_sweep(args, parser) -> int:
     return _strict_exit(args, rows)
 
 
-def _cmd_purify_simulate(args, parser) -> int:
-    try:
-        circ = load_circuit(args.circuit)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"bad circuit file: {exc}")
-    out = simulate(circ, _parse_input(args.input, parser), NOISE[args.noise])
+def _cmd_purify_simulate(args) -> int:
+    circ = _load_circuit(args.circuit)
+    out = simulate(circ, _parse_input(args.input), NOISE[args.noise])
     report = {
         "circuit": str(args.circuit),
         "n_pairs": circ.n_pairs,
@@ -236,10 +232,10 @@ def _cmd_purify_simulate(args, parser) -> int:
     return 0
 
 
-def _cmd_purify_search(args, parser) -> int:
+def _cmd_purify_search(args) -> int:
     cfg = GaConfig(population_size=args.pop, generations=args.gens,
                    n_pairs=args.n, seed=args.seed)
-    ranked = search(cfg, _parse_input(args.input, parser), NOISE[args.noise])
+    ranked = search(cfg, _parse_input(args.input), NOISE[args.noise])
     best = ranked[0]
     report = {
         "n_pairs": cfg.n_pairs,
@@ -254,20 +250,20 @@ def _cmd_purify_search(args, parser) -> int:
         "circuit": best.circuit.to_dict(),
     }
     if args.circuit_out:
-        save_circuit(best.circuit, args.circuit_out)
+        try:
+            save_circuit(best.circuit, args.circuit_out)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from None
         report["circuit_path"] = str(args.circuit_out)
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
 
-def _cmd_purify_benchmark(args, parser) -> int:
+def _cmd_purify_benchmark(args) -> int:
     paths = sorted(Path(args.circuits).glob("*.json"))
     if not paths:
-        parser.error(f"no circuit JSON files under {args.circuits!r}")
-    try:
-        circuits = [load_circuit(p) for p in paths]
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"bad circuit file: {exc}")
+        raise ValueError(f"no circuit JSON files under {args.circuits!r}")
+    circuits = [_load_circuit(p) for p in paths]
     rows = [{"n_pairs": row.n_pairs, "success_probability": row.success_probability,
              "output_fidelity": row.output_fidelity, "circuit_path": str(p)}
             for p, row in zip(paths, benchmark_sweep(circuits, NOISE[args.noise]))]
@@ -284,42 +280,39 @@ def _validate_ks(n: int, mean: float) -> list:
     return sorted({lo, mid, hi})
 
 
-def _cmd_validate(args, parser) -> int:
-    if not 0 < args.pc <= 1:
-        parser.error("--pc must be in (0, 1]")
-    if not 0 < args.p_ls <= 1:
-        parser.error("--p-ls must be in (0, 1]")
-    ions = _parse_ints(args.ions, parser)
-    attempts = _parse_ints(args.attempts, parser)
-    if args.trials < 1 or min(ions) < 1 or min(attempts) < 1:
-        parser.error("ions, attempts and trials must be positive")
+def _cmd_validate(args) -> int:
+    ions = _parse_ints(args.ions)
+    attempts = _parse_ints(args.attempts)
+    if min(attempts) < 1:
+        raise ValueError("attempts must be positive")
+    # every check runs before the first draw: attempts_required checks --pc
+    # and --p-ls (TrialConfig allows p_c = 0), TrialConfig --trials and --ions.
+    # The bracket check populates every ion at least once (k* = n).
+    n_b = min(ions)
+    a_ana = attempts_required(n_b, args.pc, n_b, args.p_ls)
+    configs = [TrialConfig(n_ions=n, p_entangle=args.pc, attempts=a,
+                           trials=args.trials, seed=args.seed + point)
+               for point, (n, a) in enumerate(itertools.product(ions, attempts))]
     lines = [f"# collection vs analytic: p_c={args.pc:g} "
              f"trials={args.trials} seed={args.seed}"]
     ok = True
-    point = 0
-    for n in ions:
-        for a in attempts:
-            cfg = TrialConfig(n_ions=n, p_entangle=args.pc, attempts=a,
-                              trials=args.trials, seed=args.seed + point)
-            point += 1
-            res = simulate_collection(cfg)
-            p1 = p_onepair(args.pc, a)
-            for k in _validate_ks(n, n * p1):
-                ana = binomial_tail_geq(n, p1, k)
-                emp = res.empirical_tail_geq(k)
-                se = math.sqrt(max(ana * (1 - ana), 0.0) / args.trials)
-                good = abs(emp - ana) <= 3 * se + 1e-12
-                ok &= good
-                ztxt = f"{abs(emp - ana) / se:.2f}" if se > 0 else "na"
-                lines.append(
-                    f"tail n={n} attempts={a} k={k} analytic={ana:.6f} "
-                    f"empirical={emp:.6f} z={ztxt} "
-                    f"{'PASS' if good else 'FAIL'}")
-    # bracket check: populate every ion at least once (k* = n)
-    n_b = min(ions)
-    a_ana = attempts_required(n_b, args.pc, n_b, args.p_ls)
+    for cfg in configs:
+        n, a = cfg.n_ions, cfg.attempts
+        res = simulate_collection(cfg)
+        p1 = p_onepair(args.pc, a)
+        for k in _validate_ks(n, n * p1):
+            ana = binomial_tail_geq(n, p1, k)
+            emp = res.empirical_tail_geq(k)
+            se = math.sqrt(max(ana * (1 - ana), 0.0) / args.trials)
+            good = abs(emp - ana) <= 3 * se + 1e-12
+            ok &= good
+            ztxt = f"{abs(emp - ana) / se:.2f}" if se > 0 else "na"
+            lines.append(
+                f"tail n={n} attempts={a} k={k} analytic={ana:.6f} "
+                f"empirical={emp:.6f} z={ztxt} "
+                f"{'PASS' if good else 'FAIL'}")
     lo, hi = empirical_attempts_bracket(n_b, args.pc, n_b, args.p_ls,
-                                        args.trials, args.seed + point)
+                                        args.trials, args.seed + len(configs))
     good = lo <= a_ana and (hi is None or a_ana <= hi)
     ok &= good
     lines.append(f"bracket n={n_b} k_star={n_b} p_ls={args.p_ls:g} "
@@ -434,8 +427,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
-    except ValueError as exc:  # the library rejected an input value
+        return args.fn(args)
+    except ValueError as exc:  # a bad input value or an unwritable output
         parser.error(str(exc))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
+    CLIFFORD_INDEX,
     BellDiagonalState,
     DensityMatrix,
     NoiseModel,
@@ -382,8 +383,6 @@ def bbpssw_circuit() -> PurificationCircuit:
 
 def dejmps_circuit() -> PurificationCircuit:
     """2->1 protocol with sqrt(X) frame rotations before the bilateral CNOT."""
-    from .quantum import CLIFFORD_INDEX
-
     rxm, rxp = CLIFFORD_INDEX["RXM"], CLIFFORD_INDEX["RXP"]
     ops = (
         SingleQubitClifford(0, "A", rxm),

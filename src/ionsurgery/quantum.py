@@ -306,13 +306,13 @@ def _build_clifford_table():
         for g in (HADAMARD, S_GATE):
             frontier.append(g @ u)
     assert len(seen) == 24
-    table = [seen[k] for k in sorted(seen)]
-    for u in table:
+    keys = sorted(seen)
+    for u in seen.values():
         u.setflags(write=False)
-    return tuple(table)
+    return tuple(seen[k] for k in keys), {k: i for i, k in enumerate(keys)}
 
 
-CLIFFORD_UNITARIES = _build_clifford_table()
+CLIFFORD_UNITARIES, _CLIFFORD_INDEX_BY_KEY = _build_clifford_table()
 
 
 def clifford_unitary(index: int) -> np.ndarray:
@@ -328,11 +328,10 @@ def clifford_unitary(index: int) -> np.ndarray:
 
 def clifford_index(u: np.ndarray) -> int:
     """Index of a single-qubit Clifford unitary, ignoring global phase."""
-    key = _action_key(np.asarray(u, dtype=complex))
-    for i, c in enumerate(CLIFFORD_UNITARIES):
-        if _action_key(c) == key:
-            return i
-    raise ValueError("unitary not in the Clifford table")
+    index = _CLIFFORD_INDEX_BY_KEY.get(_action_key(np.asarray(u, dtype=complex)))
+    if index is None:
+        raise ValueError("unitary not in the Clifford table")
+    return index
 
 
 # named entry points into the table

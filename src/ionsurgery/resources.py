@@ -202,7 +202,7 @@ def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     if p1 <= 0:
         return EstimateResult(k, n_ls, budget, 0, 0.0, False, query.distance)
     n = int(_ions_needed(np.array([k_star]), np.array([p1]), device.p_ls_confidence)[0])
-    return EstimateResult(k, n_ls, budget, n, device.pulse_rate_hz / max(budget, 1),
+    return EstimateResult(k, n_ls, budget, n, device.pulse_rate_hz / budget,
                           True, query.distance)
 
 
@@ -236,7 +236,7 @@ def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     k = multiplexing_k(device.p_purify, device.p_pair_confidence)
     n_ls = pairs_required(query.distance, device.pairs_per_circuit, k)
     k_star = _threshold(n_ls, query.paper_compat)
-    if query.n_ions < k_star or device.p_entangle <= 0:
+    if query.n_ions < k_star:
         return EstimateResult(k, n_ls, 0, 0, 0.0, False, query.distance)
     a_min = attempts_required(query.n_ions, device.p_entangle, k_star,
                               device.p_ls_confidence)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import ionsurgery as isg
+from ionsurgery import cli
 from ionsurgery.cli import main
 
 
@@ -301,6 +302,10 @@ def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
     ["min-ions", "--distance", "3", "--cycle-time-us", "1000,inf"],
     ["sweep", "--distances", "3", "--cycle-times-us", "nan"],
     ["sweep", "--distances", "3", "--cycle-times-us", "-5"],
+    ["min-ions", "--distance", "3", "--paradigm", "t1000us",
+     "--output", "/nonexistent/x.csv"],
+    ["purify", "search", "--n", "3", "--pop", "4", "--gens", "2",
+     "--circuit-out", "/nonexistent/c.json"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -336,3 +341,48 @@ def test_benchmark_empty_directory_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["purify", "benchmark", "--circuits", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_library_error_after_solved_rows_writes_nothing(capsys, tmp_path,
+                                                        monkeypatch, to_file):
+    solved = []
+
+    def counting_min_ions(q, dev):
+        solved.append(q)
+        return isg.min_ions(q, dev)
+
+    monkeypatch.setattr(cli, "min_ions", counting_min_ions)
+    path = tmp_path / "table.csv"
+    argv = ["min-ions", "--distance", "3", "--cycle-time-us", "1000,nan"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(path)] if to_file else argv)
+    assert exc.value.code == 2
+    assert len(solved) == 1  # the 1000 us row was solved before nan was rejected
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [["validate", "--p-ls", "1.5"],
+                                  ["validate", "--pc", "0"],
+                                  ["validate", "--ions", "100,0"]])
+def test_validate_rejects_bad_values_before_any_draw(capsys, monkeypatch, argv):
+    def no_draws(*_):
+        raise AssertionError("Monte Carlo ran")
+
+    monkeypatch.setattr(cli, "simulate_collection", no_draws)
+    monkeypatch.setattr(cli, "empirical_attempts_bracket", no_draws)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pc_from, pc_to", [("-1", "1"), ("0.1", "inf"), ("0", "1")])
+def test_out_of_range_sweep_endpoints_are_one_usage_error(capsys, pc_from, pc_to):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--distances", "3", "--cycle-times-us", "1000",
+              "--pc-from", pc_from, "--pc-to", pc_to, "--points", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith("ionsurgery: error:")

@@ -378,6 +378,35 @@ def test_sweep_matches_a_linear_scan(device, paper_compat):
         assert (res.answer, res.feasible) == (n, n > 0)
 
 
+def _tail_geq_by_sum(m: int, p: float, k: int) -> float:
+    """P(X >= k), X ~ Binomial(m, p), as 1 - the lower-tail sum: no betainc."""
+    if k > m:
+        return 0.0
+    if p == 1:  # log1p(-1) is a domain error
+        return 1.0
+    lp, lq = math.log(p), math.log1p(-p)
+    return 1 - math.fsum(
+        math.exp(math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+                 + j * lp + (m - j) * lq)
+        for j in range(k))
+
+
+@pytest.mark.parametrize("paper_compat", [False, True])
+def test_sweep_answers_meet_the_target_by_an_independent_tail(paper_compat):
+    # every answer m is the first ion count whose tail reaches P_LS, checked
+    # with a lower-tail sum that shares no code with the solver's betainc
+    distances, times = range(3, 10), [1e-3, 1e-4, 1e-5]
+    rows = sweep_coupling(distances, times, np.geomspace(1e-4, 1, 40).tolist(), DEV,
+                          paper_compat=paper_compat)
+    k = multiplexing_k(DEV.p_purify, DEV.p_pair_confidence)
+    assert len(rows) == 7 * 3 * 40 and all(r[4] for r in rows)
+    for d, t, pc, m, _ in rows:
+        k_star = pairs_required(d, DEV.pairs_per_circuit, k) + paper_compat
+        p1 = p_onepair(pc, math.floor(t * DEV.pulse_rate_hz))
+        assert _tail_geq_by_sum(m, p1, k_star) >= DEV.p_ls_confidence
+        assert _tail_geq_by_sum(m - 1, p1, k_star) < DEV.p_ls_confidence
+
+
 @pytest.mark.parametrize("p_ls", [0.5, 0.9, 0.999])
 def test_attempts_required_matches_a_linear_scan(p_ls):
     for n in (1, 5, 20):
