@@ -10,7 +10,8 @@ Subcommands
 Exit codes: 0 success, 1 only-infeasible results (or failed validation)
 under --strict, 2 usage error: a bad flag, any input value the library
 rejects with ValueError, or an unwritable output path; stdout then stays
-empty.  The default device file ships in the package; --device or the
+empty, and the stderr error line names the flag that set the rejected
+value.  The default device file ships in the package; --device or the
 IONSURGERY_DEVICE environment variable override it.
 """
 
@@ -49,7 +50,7 @@ NOISE = {"paper": DEVICE_NOISE, "none": IDEAL_NOISE}
 # flag parsing helpers
 
 def _parse_ints(text: str) -> list:
-    """Integer list spec: '9', '3,5,7' or inclusive range '3..9'."""
+    """Integer list spec: '9', '3,5,7' or inclusive range '3..9' (a flag type)."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -63,24 +64,24 @@ def _parse_ints(text: str) -> list:
             else:
                 out.append(int(tok))
         except ValueError:
-            raise ValueError(f"bad integer list {text!r}") from None
+            raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
     return out
 
 
 def _parse_times_s(text: str) -> list:
-    """Cycle times in microseconds, '1000,100,10', returned in seconds."""
+    """Cycle times in microseconds, '1000,100,10', returned in seconds (a flag type)."""
     out = []
     for tok in text.split(","):
         try:
             out.append(float(tok.strip()) * 1e-6)
         except ValueError:
-            raise ValueError(f"bad number list {text!r}") from None
+            raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
     return out
 
 
 def _cycle_times_s(args) -> list:
     if args.cycle_time_us is not None:
-        return _parse_times_s(args.cycle_time_us)
+        return args.cycle_time_us
     preset = args.paradigm or "all"
     names = list(PARADIGMS) if preset == "all" else [preset]
     return [PARADIGMS[n] for n in names]
@@ -164,10 +165,9 @@ def _strict_exit(args, rows: list) -> int:
 
 def _cmd_min_ions(args) -> int:
     dev = _device(args)
-    distances = _parse_ints(args.distance)
     times = _cycle_times_s(args)
     rows = []
-    for d in distances:
+    for d in args.distance:
         for t in times:
             q = SurgeryQuery(distance=d, cycle_time_s=t,
                              paper_compat=args.paper_compat)
@@ -181,11 +181,9 @@ def _cmd_min_ions(args) -> int:
 
 def _cmd_rate(args) -> int:
     dev = _device(args)
-    distances = _parse_ints(args.distance)
-    ions = _parse_ints(args.ions)
     rows = []
-    for d in distances:
-        for n in ions:
+    for d in args.distance:
+        for n in args.ions:
             q = SurgeryQuery(distance=d, n_ions=n,
                              paper_compat=args.paper_compat)
             res = max_rate(q, dev)
@@ -199,8 +197,6 @@ def _cmd_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dev = _device(args)
-    distances = _parse_ints(args.distances)
-    times = _parse_times_s(args.cycle_times_us)
     if not args.pc_from <= args.pc_to:
         raise ValueError("need --pc-from <= --pc-to")
     # NumPy sets both endpoints exactly, so --points 1 gives [--pc-from];
@@ -211,7 +207,8 @@ def _cmd_sweep(args) -> int:
     rows = [{"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
              "min_ions": answer, "feasible": feasible}
             for d, t, pc, answer, feasible in sweep_coupling(
-                distances, times, grid, dev, paper_compat=args.paper_compat)]
+                args.distances, args.cycle_times_us, grid, dev,
+                paper_compat=args.paper_compat)]
     _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "p_c": "{:.9g}".format,
                   "min_ions": str}, args.format, args.output)
     return _strict_exit(args, rows)
@@ -281,8 +278,7 @@ def _validate_ks(n: int, mean: float) -> list:
 
 
 def _cmd_validate(args) -> int:
-    ions = _parse_ints(args.ions)
-    attempts = _parse_ints(args.attempts)
+    ions, attempts = args.ions, args.attempts
     if min(attempts) < 1:
         raise ValueError("attempts must be positive")
     # every check runs before the first draw: attempts_required checks --pc
@@ -352,32 +348,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("min-ions", help="ion budget per (distance, cycle time)")
-    p.add_argument("--distance", default="3..9", help="e.g. 9, 3,5,7 or 3..9")
+    p.add_argument("--distance", type=_parse_ints, default="3..9",
+                   help="e.g. 9, 3,5,7 or 3..9")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--cycle-time-us", default=None,
+    g.add_argument("--cycle-time-us", type=_parse_times_s, default=None,
                    help="cycle times in microseconds, e.g. 1000,100,10")
     g.add_argument("--paradigm", choices=(*PARADIGMS, "all"), default=None)
     _add_device(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_min_ions)
+    p.set_defaults(fn=_cmd_min_ions, flags={
+        "distance": "--distance", "cycle_time_s": "--cycle-time-us",
+        "p_entangle": "--pc"})
 
     p = sub.add_parser("rate", help="cycle rate per (distance, ion budget)")
-    p.add_argument("--distance", default="3..9")
-    p.add_argument("--ions", default="100,1000,10000",
+    p.add_argument("--distance", type=_parse_ints, default="3..9")
+    p.add_argument("--ions", type=_parse_ints, default="100,1000,10000",
                    help="communication-ion budgets, e.g. 100,1000,10000")
     _add_device(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_rate)
+    p.set_defaults(fn=_cmd_rate, flags={
+        "distance": "--distance", "n_ions": "--ions", "p_entangle": "--pc"})
 
     p = sub.add_parser("sweep", help="min ions vs coupling probability")
-    p.add_argument("--distances", default="3,6,9")
-    p.add_argument("--cycle-times-us", default="1000,100,10")
+    p.add_argument("--distances", type=_parse_ints, default="3,6,9")
+    p.add_argument("--cycle-times-us", type=_parse_times_s, default="1000,100,10")
     p.add_argument("--pc-from", type=float, default=1e-4)
     p.add_argument("--pc-to", type=float, default=1.0)
     p.add_argument("--points", type=int, default=50)
     _add_device(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_sweep)
+    # --pc-from <= --pc-to is checked first, so a zero endpoint that NumPy's
+    # geomspace rejects ("Geometric sequence ...") puts --pc-from at or below 0;
+    # it rejects a negative --points as "Number of samples ..."
+    p.set_defaults(fn=_cmd_sweep, flags={
+        "distance": "--distances", "cycle_time_s": "--cycle-times-us",
+        "p_entangle": "--pc", "p_c_grid": "--pc-from/--pc-to", "grids": "--points",
+        "Geometric": "--pc-from", "Number": "--points"})
 
     p = sub.add_parser("purify", help="purification circuit tools")
     psub = p.add_subparsers(dest="purify_command", required=True)
@@ -400,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--circuit-out", default=None,
                    help="also write the best circuit JSON here")
     _add_common(q, strict=False)
-    q.set_defaults(fn=_cmd_purify_search)
+    q.set_defaults(fn=_cmd_purify_search, flags={
+        "n_pairs": "--n", "population_size": "--pop", "generations": "--gens"})
 
     q = psub.add_parser("benchmark", help="re-simulate a circuit directory")
     q.add_argument("--circuits", required=True, help="directory of circuit JSON")
@@ -409,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_purify_benchmark)
 
     p = sub.add_parser("validate", help="Monte Carlo vs analytic collection")
-    p.add_argument("--ions", default="100")
-    p.add_argument("--attempts", default="500,1000,2000")
+    p.add_argument("--ions", type=_parse_ints, default="100")
+    p.add_argument("--attempts", type=_parse_ints, default="500,1000,2000")
     p.add_argument("--pc", type=float, default=2.18e-4)
     p.add_argument("--p-ls", type=float, default=0.999)
     p.add_argument("--trials", type=int, default=20000)
@@ -418,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when any check fails")
-    p.set_defaults(fn=_cmd_validate)
+    p.set_defaults(fn=_cmd_validate, flags={
+        "n_ions": "--ions", "attempts": "--attempts", "p_entangle": "--pc",
+        "p_ls": "--p-ls", "trials": "--trials"})
 
     return ap
 
@@ -429,7 +438,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ValueError as exc:  # a bad input value or an unwritable output
-        parser.error(str(exc))
+        # a library message starts with the field it rejects; name its flag
+        msg = str(exc)
+        flag = getattr(args, "flags", {}).get(msg.split(" ", 1)[0])
+        parser.error(f"{flag}: {msg}" if flag else msg)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,12 @@ A count compares E with the largest double whose round is <= A, and the
 k-th success maps the k-th smallest E, since the map is monotone.  For
 p >= 1/3 NumPy searches one uniform draw instead, and the same blocked loop
 calls `Generator.geometric` itself.
+
+The Wilson intervals use Z99, the 0.995 normal quantile, written as the
+literal `scipy.special.ndtri(0.995)` returns so that importing this module
+does not load SciPy; a test checks the two stay equal.
+`statistics.NormalDist().inv_cdf(0.995)` differs in the last digit, so it
+is not used.
 """
 from __future__ import annotations
 
@@ -21,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 CHUNK = 16384      # trials per split Philox stream
 BLOCK_ROWS = 512   # trials per block of draws; divides CHUNK
@@ -29,7 +34,7 @@ BLOCK_ROWS = 512   # trials per block of draws; divides CHUNK
 # as ceil(-E / log1p(-p)), and searches one uniform draw at or above it
 GEOMETRIC_SEARCH_P = 1 / 3
 INT64_MAX = int(np.iinfo(np.int64).max)
-Z99 = float(ndtri(0.995))  # two-sided 99% Wilson interval
+Z99 = 2.5758293035489004  # ndtri(0.995), two-sided 99% Wilson; see above
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ completed accept rule rejects it.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -278,6 +279,24 @@ def _resolve_inputs(inputs, n_pairs: int) -> list:
     return [_as_pair_matrix(s) for s in seq]
 
 
+@functools.lru_cache(maxsize=1)
+def _joint_state(*pair_bytes: bytes) -> np.ndarray:
+    """Read-only 2n-qubit product of the complex128 4x4 pair inputs, by their bytes.
+
+    A search simulates many circuits on the same inputs, so the last joint
+    state is kept; a kernel that wrote into it in place would raise.
+    """
+    n_pairs = len(pair_bytes)
+    state = np.array([[1.0 + 0j]])
+    for raw in pair_bytes:
+        state = np.kron(state, np.frombuffer(raw, dtype=complex).reshape(4, 4))
+    # kron order is A0 B0 A1 B1 ...; relabel to A0..A_{n-1} B0..B_{n-1}
+    perm = [2 * i for i in range(n_pairs)] + [2 * i + 1 for i in range(n_pairs)]
+    state = _permute_raw(state, perm, 2 * n_pairs)
+    state.setflags(write=False)
+    return state
+
+
 def _accepted(rules, rec: dict) -> bool:
     """True when the records in `rec` satisfy every rule in `rules`."""
     for rule in rules:
@@ -303,13 +322,7 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     n_pairs = circuit.n_pairs
     n = 2 * n_pairs
     mats = _resolve_inputs(inputs, n_pairs)
-
-    state = np.array([[1.0 + 0j]])
-    for m in mats:
-        state = np.kron(state, m)
-    # kron order is A0 B0 A1 B1 ...; relabel to A0..A_{n-1} B0..B_{n-1}
-    perm = [2 * i for i in range(n_pairs)] + [2 * i + 1 for i in range(n_pairs)]
-    state = _permute_raw(state, perm, n)
+    state = _joint_state(*(m.tobytes() for m in mats))
 
     alive = list(range(n))  # qubit id -> position alive.index(id)
     branches = [(state, {})]  # unnormalized: trace == path probability

@@ -260,7 +260,7 @@ def _cnot_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
     that contraction only multiplies by 0 and 1.
     """
     perm = _cnot_perm(n, control, target)
-    return rho[perm[:, None], perm[None, :]]
+    return rho.take(perm, 0).take(perm, 1)
 
 
 def _cz_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:

@@ -7,7 +7,8 @@ P_pair.  Within one cycle of T seconds a device pulsing at R Hz makes
 A = floor(T*R) entanglement attempts per communication ion, each succeeding
 with probability p_c, so one ion holds a pair with P_onepair = 1-(1-p_c)^A.
 The two integer solvers invert the binomial tail over the ion count or the
-attempt budget.
+attempt budget.  SciPy's `betainc` is imported by the first call that needs
+it, so importing this module loads NumPy and the standard library only.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
 import numpy as np
-from scipy.special import betainc
 
 
 def _check_int(name: str, v) -> None:
@@ -140,6 +140,8 @@ def binomial_tail_geq(n: int, p: float, k: int) -> float:
         return 1.0
     if k == n + 1:
         return 0.0
+    from scipy.special import betainc  # loaded on the first solver call only
+
     # P(X >= k) = I_p(k, n-k+1)
     return float(betainc(k, n - k + 1, p))
 
@@ -185,6 +187,8 @@ def _search_min(pred, lo) -> np.ndarray:
 
 def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarray:
     """Per cell, the fewest ions m >= k_star with P(X >= k_star | m, p1) >= target."""
+    from scipy.special import betainc  # loaded on the first solver call only
+
     # P(X >= k) = I_p1(k, m-k+1), the ufunc behind binomial_tail_geq
     return _search_min(
         lambda m, i: betainc(k_star[i], m - k_star[i] + 1, p1[i]) >= target, k_star)
@@ -260,7 +264,7 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
         for t in cycle_times_s:
             SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
     if not all(0 < pc <= 1 for pc in p_c_grid):
-        raise ValueError("p_entangle must lie in (0,1]")
+        raise ValueError("p_c_grid values must lie in (0,1]")
     k = multiplexing_k(device.p_purify, device.p_pair_confidence)
     k_star = np.repeat([_threshold(pairs_required(d, device.pairs_per_circuit, k),
                                    paper_compat) for d in distances],

@@ -313,6 +313,29 @@ def test_usage_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["min-ions", "--distance", "3", "--paradigm", "t1000us", "--pc", "0"], "--pc"),
+    (["min-ions", "--distance", "3", "--cycle-time-us", "-5"], "--cycle-time-us"),
+    (["rate", "--distance", "3", "--ions", "0"], "--ions"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--points", "0"],
+     "--points"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-from", "0"],
+     "--pc-from"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-to", "2"],
+     "--pc-from/--pc-to"),
+    (["validate", "--p-ls", "1.5"], "--p-ls"),
+    (["validate", "--trials", "0"], "--trials"),
+])
+def test_usage_error_names_the_flag(capsys, argv, flag):
+    # the library names the field it rejects; the CLI error line names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {flag}: " in err
+
+
 def test_bad_input_spec_exits_2(capsys, tmp_path):
     path = tmp_path / "c.json"
     isg.save_circuit(isg.bbpssw_circuit(), path)

@@ -17,7 +17,7 @@ from ionsurgery import (
     simulate_collection,
     wilson_interval,
 )
-from ionsurgery.collection import CHUNK
+from ionsurgery.collection import CHUNK, Z99
 
 
 def test_config_validation():
@@ -173,6 +173,12 @@ def test_wilson_interval_reference_values():
     assert wilson_interval(50, 50)[1] == 1.0
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+
+
+def test_z99_is_the_scipy_normal_quantile():
+    from scipy.special import ndtri
+
+    assert Z99 == float(ndtri(0.995))
 
 
 def test_collection_report_shape_and_determinism():

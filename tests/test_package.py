@@ -28,6 +28,29 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+SCIPY_ON_FIRST_SOLVE = """
+import sys
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import ionsurgery
+print(scipy_modules())
+import ionsurgery.cli
+print(scipy_modules())
+ionsurgery.min_ions(ionsurgery.SurgeryQuery(distance=3, cycle_time_s=1e-3),
+                    ionsurgery.default_device())
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_import_loads_no_scipy_until_a_solver_runs():
+    # only the binomial solvers need SciPy; they import scipy.special on the
+    # first call, so the package and the CLI start without it
+    env = {**os.environ, "PYTHONPATH": str(Path(isg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_SOLVE],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines() == ["[]", "[]", "True"]
+
+
 def test_every_name_the_benchmark_traces_resolves():
     # the benchmark's tracer wraps these module attributes; a name that
     # disappears leaves its per-layer metric silently absent

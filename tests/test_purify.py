@@ -1,6 +1,9 @@
 """Purification circuits: validation, JSON round-trips, exact protocol algebra."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from dataclasses import replace
 
@@ -332,6 +335,42 @@ def test_simulate_matches_pinned_snapshot_bit_for_bit():
         if any(got[k] != rec[k] for k in got):
             mismatched.append(rec["name"])
     assert mismatched == []
+
+
+FRESH_SIMULATE = """
+import sys
+import ionsurgery as isg
+inputs = {"measured": isg.stephenson_pair(),
+          "werner": isg.BellDiagonalState(0.9, 1 / 3, 1 / 3, 1 / 3)}
+out = isg.simulate(isg.load_circuit(sys.argv[1]), inputs[sys.argv[2]], isg.DEVICE_NOISE)
+print(out.output_fidelity.hex(), out.success_probability.hex(),
+      out.output_state.entries.tobytes().hex())
+"""
+
+
+def test_joint_state_cache_serves_the_inputs_of_each_call(fixture_circuit_path):
+    # simulate keeps the last joint input state; every call, hit or miss,
+    # must give the bits of a fresh process that never had a cached state
+    from ionsurgery import purify
+
+    inputs = {"measured": isg.stephenson_pair(),
+              "werner": isg.BellDiagonalState(0.9, 1 / 3, 1 / 3, 1 / 3)}
+    env = {**os.environ, "PYTHONPATH": str(Path(isg.__file__).parents[1])}
+    fresh = {name: subprocess.run(
+        [sys.executable, "-c", FRESH_SIMULATE, str(fixture_circuit_path), name],
+        capture_output=True, text=True, check=True, env=env).stdout.split()
+        for name in inputs}
+    circuit = isg.load_circuit(fixture_circuit_path)
+    purify._joint_state.cache_clear()
+    for name in ("measured", "werner", "measured", "measured"):
+        out = isg.simulate(circuit, inputs[name], isg.DEVICE_NOISE)
+        assert [out.output_fidelity.hex(), out.success_probability.hex(),
+                out.output_state.entries.tobytes().hex()] == fresh[name]
+    state = purify._joint_state(*[inputs["measured"].entries.tobytes()] * circuit.n_pairs)
+    assert purify._joint_state.cache_info()[:2] == (2, 3)  # hits, misses
+    assert not state.flags.writeable
+    with pytest.raises(ValueError):
+        state[0, 0] = 0
 
 
 def test_rejected_branches_are_pruned_as_soon_as_a_rule_completes(monkeypatch):
