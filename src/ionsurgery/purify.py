@@ -266,7 +266,6 @@ def _as_pair_matrix(state) -> np.ndarray:
     m = state.entries if isinstance(state, DensityMatrix) else np.asarray(state, complex)
     if m.shape != (4, 4):
         raise ValueError("each input must be a 2-qubit state")
-    DensityMatrix(2, m).validate()
     return m
 
 
@@ -283,13 +282,17 @@ def _resolve_inputs(inputs, n_pairs: int) -> list:
 def _joint_state(*pair_bytes: bytes) -> np.ndarray:
     """Read-only 2n-qubit product of the complex128 4x4 pair inputs, by their bytes.
 
-    A search simulates many circuits on the same inputs, so the last joint
+    Each distinct input passes `DensityMatrix.validate` here, once per input
+    set; an invalid one raises, and a call that raises is never cached.  A
+    search simulates many circuits on the same inputs, so the last joint
     state is kept; a kernel that wrote into it in place would raise.
     """
+    pairs = {raw: DensityMatrix(2, np.frombuffer(raw, dtype=complex).reshape(4, 4))
+             .validate().entries for raw in dict.fromkeys(pair_bytes)}
     n_pairs = len(pair_bytes)
     state = np.array([[1.0 + 0j]])
     for raw in pair_bytes:
-        state = np.kron(state, np.frombuffer(raw, dtype=complex).reshape(4, 4))
+        state = np.kron(state, pairs[raw])
     # kron order is A0 B0 A1 B1 ...; relabel to A0..A_{n-1} B0..B_{n-1}
     perm = [2 * i for i in range(n_pairs)] + [2 * i + 1 for i in range(n_pairs)]
     state = _permute_raw(state, perm, 2 * n_pairs)
@@ -338,10 +341,10 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
             branches = [(_depolarize_raw(gate(s, *pos, m), noise.p2, pos, m), rec)
                         for s, rec in branches]
         elif isinstance(op, SingleQubitClifford):
-            pos = [alive.index(off + op.pair)]
+            pos = alive.index(off + op.pair)
             u = clifford_unitary(op.index)
             branches = [(_depolarize_raw(_apply_unitary_raw(s, u, pos, m),
-                                         noise.p1, pos, m), rec)
+                                         noise.p1, [pos], m), rec)
                         for s, rec in branches]
         else:  # Measure
             q = off + op.pair
@@ -364,15 +367,14 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
             branches = nxt
             alive.remove(q)
 
+    # alive only loses entries, so A0 still precedes B0
     m = len(alive)
-    out_pos = sorted((alive.index(0), alive.index(n_pairs)))
+    out_pos = [alive.index(0), alive.index(n_pairs)]
     total = np.zeros((4, 4), dtype=complex)
     p_succ = 0.0
     for s, _ in branches:
         p_succ += float(np.trace(s).real)
         total += _partial_trace_raw(s, out_pos, m)
-    if alive.index(0) > alive.index(n_pairs):  # keep A before B in the marginal
-        total = _permute_raw(total, [1, 0], 2)
 
     if p_succ <= 0.0:
         return ProtocolOutcome(0.0, 0.0, DensityMatrix(2, total))

@@ -131,17 +131,24 @@ DEVICE_NOISE = NoiseModel(1e-5, 5e-5, 1e-5)
 # ---------------------------------------------------------------------------
 # raw ndarray kernels (shared with the circuit simulator's hot loop)
 
-def _apply_unitary_raw(rho: np.ndarray, u: np.ndarray, targets: list, n: int) -> np.ndarray:
-    """U rho U^dag with U acting on `targets` of an n-qubit array."""
-    k = len(targets)
-    t = rho.reshape((2,) * (2 * n))
-    ut = u.reshape((2,) * (2 * k))
-    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), targets))
-    t = np.moveaxis(t, range(k), targets)
-    bra = [n + q for q in targets]
-    t = np.tensordot(np.conj(ut), t, axes=(list(range(k, 2 * k)), bra))
-    t = np.moveaxis(t, range(k), bra)
-    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
+def _apply_unitary_raw(rho: np.ndarray, u: np.ndarray, target: int, n: int) -> np.ndarray:
+    """U rho U^dag with the 2x2 U acting on qubit `target` of an n-qubit array.
+
+    Makes the two `np.dot(u, (2, N))` calls that contracting with
+    `np.tensordot` makes, on the same contiguous operands, so the result is
+    the same bit for bit; the operands are built from (lo, 2, hi) views of
+    each side instead of 2n-axis transposes.
+    """
+    lo, hi = 2 ** target, 2 ** (n - 1 - target)
+    dim = 2 * lo * hi
+    # ket: t[a, (l, h, bra)] = sum_k u[a, k] rho[(l, k, h), bra]
+    t = np.dot(u, rho.reshape(lo, 2, hi * dim).transpose(1, 0, 2).reshape(2, -1))
+    # bra: bring the target's bra bit b of t[a, l, h, lb, b, hb] to the front
+    t = t.reshape(2, lo, hi, lo, 2, hi).transpose(4, 1, 0, 2, 3, 5).reshape(2, -1)
+    t = np.dot(np.conj(u), t)
+    # t[b, l, a, h, lb, hb] -> rows (l, a, h), columns (lb, b, hb)
+    t = t.reshape(2, lo, 2, hi, lo, hi).transpose(1, 2, 3, 4, 0, 5)
+    return np.ascontiguousarray(t.reshape(dim, dim))
 
 
 def _permute_raw(rho: np.ndarray, perm: list, n: int) -> np.ndarray:
@@ -153,6 +160,8 @@ def _permute_raw(rho: np.ndarray, perm: list, n: int) -> np.ndarray:
 
 def _partial_trace_raw(rho: np.ndarray, keep: list, n: int) -> np.ndarray:
     """Reduce to `keep` (order preserved), tracing out the rest."""
+    if list(keep) == list(range(n)):
+        return rho.copy()
     drop = [q for q in range(n) if q not in keep]
     t = rho.reshape((2,) * (2 * n))
     for q in sorted(drop, reverse=True):
@@ -180,21 +189,42 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndar
     k = len(targets)
     dim = 2 ** k
     lam = p * dim * dim / (dim * dim - 1)
+    shape, diag = _depolarize_plan(tuple(targets), n)
     if k == n:
         red = np.trace(rho)
     else:
-        red = rho.reshape((2,) * (2 * n))
-        for q in sorted(targets, reverse=True):
-            red = np.trace(red, axis1=q, axis2=red.ndim // 2 + q)
+        # trace the highest target first, as nested np.trace calls do
+        view = rho.reshape(shape)
+        red = [view[idx] for idx in diag]
+        while len(red) > 1:
+            red = [a + b for a, b in zip(red[::2], red[1::2])]
+        red = red[0]
     out = (1 - lam) * rho
-    blocks = out.reshape((2,) * (2 * n))
+    blocks = out.reshape(shape)
     mixed = lam * (red / dim)
-    for bits in itertools.product((0, 1), repeat=k):
-        idx = [slice(None)] * (2 * n)
-        for q, b in zip(targets, bits):
-            idx[q] = idx[n + q] = b
-        blocks[tuple(idx)] += mixed
+    for idx in diag:
+        blocks[idx] += mixed
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _depolarize_plan(targets: tuple, n: int):
+    """Shape splitting each side of an n-qubit rho around the sorted targets,
+    (l, 2, m, 2, h) for two, and the index of every block whose ket and bra
+    target bits agree, the lowest target's bit varying slowest."""
+    qs = sorted(targets)
+    side = []
+    prev = -1
+    for q in qs:
+        side += [2 ** (q - prev - 1), 2]
+        prev = q
+    side.append(2 ** (n - 1 - prev))
+    diag = []
+    for bits in itertools.product((0, 1), repeat=len(qs)):
+        half = [slice(None)] * len(side)
+        half[1::2] = bits
+        diag.append(tuple(half + half))
+    return tuple(side + side), tuple(diag)
 
 
 def _project_raw(rho: np.ndarray, proj: np.ndarray, target: int, n: int) -> np.ndarray:
@@ -203,7 +233,7 @@ def _project_raw(rho: np.ndarray, proj: np.ndarray, target: int, n: int) -> np.n
     The simulator measures with `_measure_raw`; this is the reference it is
     tested against.
     """
-    return _apply_unitary_raw(rho, proj, [target], n)
+    return _apply_unitary_raw(rho, proj, target, n)
 
 
 def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int):

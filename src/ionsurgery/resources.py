@@ -155,33 +155,51 @@ def _threshold(n_ls: int, paper_compat: bool) -> int:
 SEARCH_LIMIT = 2 ** 62
 
 
-def _search_min(pred, lo) -> np.ndarray:
+def _search_min(pred, lo, *cols) -> np.ndarray:
     """Per cell, the smallest integer >= lo[i] satisfying a monotone predicate.
 
-    pred(m, cells) tests probe m[j] of cell cells[j] and returns a bool array.
+    pred(m, *rows) tests probe m[j] of the cell whose entries of the per-cell
+    arrays `cols` are rows[.][j]; without `cols` it gets the cell indices.
     All cells advance in lockstep, and each sees the probes of a scalar
     search: lo, then doubling from max(lo, 1), then bisection.  So every
     answer is the scalar answer, also where a floating-point predicate is not
     perfectly monotone.  Raises ValueError when a cell fails at SEARCH_LIMIT.
+
+    The cells still searching keep their bounds and rows in compact arrays,
+    which are gathered again only when some cell finishes: on a one-cell
+    call a probe costs a few small ufuncs and no gather or scatter.
     """
     lo = np.array(lo, dtype=np.int64)
-    found = pred(lo, np.arange(lo.size))
+    cols = cols or (np.arange(lo.size),)
+    found = pred(lo, *cols)
     # a failed lo >= 1 is also the first doubling probe, so start at 2 lo
     hi = np.where(found, lo, np.maximum(2 * lo, 1))
-    grow = np.flatnonzero(~found)
-    while grow.size:
-        grow = grow[~pred(hi[grow], grow)]
-        if grow.size and hi[grow].max() >= SEARCH_LIMIT:
+    cells = np.flatnonzero(~found)
+    a, b, rows = lo[cells], hi[cells], [c[cells] for c in cols]
+    while cells.size:
+        ok = pred(b, *rows)
+        if np.count_nonzero(ok):
+            lo[cells[ok]], hi[cells[ok]] = a[ok], b[ok]
+            fail = ~ok
+            cells, a, b = cells[fail], a[fail], b[fail]
+            rows = [r[fail] for r in rows]
+        if np.count_nonzero(b >= SEARCH_LIMIT):
             raise ValueError("no solution up to 2**62")
-        lo[grow] = hi[grow]
-        hi[grow] *= 2
-    split = np.flatnonzero(hi - lo > 1)
-    while split.size:
-        mid = lo[split] + (hi[split] - lo[split]) // 2
-        ok = pred(mid, split)
-        hi[split[ok]] = mid[ok]
-        lo[split[~ok]] = mid[~ok]
-        split = split[hi[split] - lo[split] > 1]
+        a, b = b, b + b
+    cells = np.flatnonzero(hi - lo > 1)
+    a, b, rows = lo[cells], hi[cells], [c[cells] for c in cols]
+    while cells.size:
+        mid = (a + b) // 2
+        ok = pred(mid, *rows)
+        b[ok] = mid[ok]
+        fail = ~ok
+        a[fail] = mid[fail]
+        shut = b - a <= 1
+        if np.count_nonzero(shut):
+            hi[cells[shut]] = b[shut]
+            keep = ~shut
+            cells, a, b = cells[keep], a[keep], b[keep]
+            rows = [r[keep] for r in rows]
     return hi
 
 
@@ -190,8 +208,8 @@ def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarra
     from scipy.special import betainc  # loaded on the first solver call only
 
     # P(X >= k) = I_p1(k, m-k+1), the ufunc behind binomial_tail_geq
-    return _search_min(
-        lambda m, i: betainc(k_star[i], m - k_star[i] + 1, p1[i]) >= target, k_star)
+    return _search_min(lambda m, k, p: betainc(k, m - k + 1, p) >= target,
+                       k_star, k_star, p1)
 
 
 def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
@@ -226,7 +244,10 @@ def attempts_required(n_ions: int, p_entangle: float, k_star: int,
         return np.array([binomial_tail_geq(n_ions, p_onepair(p_entangle, int(a)), k_star)
                          >= p_ls for a in attempts])
 
-    return int(_search_min(pred, [1])[0])
+    try:
+        return int(_search_min(pred, [1])[0])
+    except ValueError as exc:  # only a vanishing p_entangle exhausts the search
+        raise ValueError(f"p_entangle {p_entangle!r} is too small: {exc}") from None
 
 
 def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:

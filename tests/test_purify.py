@@ -373,6 +373,38 @@ def test_joint_state_cache_serves_the_inputs_of_each_call(fixture_circuit_path):
         state[0, 0] = 0
 
 
+def test_inputs_are_validated_once_per_input_set_and_a_bad_one_on_every_call(
+        monkeypatch, fixture_circuit_path):
+    from ionsurgery import purify
+
+    checked = []
+    validate = isg.DensityMatrix.validate
+
+    def counting(self, check_psd=True):
+        checked.append(self.entries.tobytes())
+        return validate(self, check_psd)
+
+    monkeypatch.setattr(isg.DensityMatrix, "validate", counting)
+    circuit = isg.load_circuit(fixture_circuit_path)
+    good = isg.stephenson_pair()
+    bad = isg.DensityMatrix(2, np.diag([1.5, -0.5, 0.0, 0.0]))  # unit trace, not PSD
+    purify._joint_state.cache_clear()
+    outs = []
+    for inp in (good, bad, good, bad, good):
+        if inp is bad:
+            with pytest.raises(ValueError, match="eigenvalue"):
+                isg.simulate(circuit, inp, isg.DEVICE_NOISE)
+        else:
+            out = isg.simulate(circuit, inp, isg.DEVICE_NOISE)
+            outs.append((out.output_fidelity.hex(), out.success_probability.hex(),
+                         out.output_state.entries.tobytes()))
+    assert outs[1:] == outs[:1] * 2
+    # the good input is checked once, on the call that builds its joint
+    # state; the bad one is never cached, so it is checked on every call
+    g, b = good.entries.tobytes(), bad.entries.tobytes()
+    assert checked == [g, b, b]
+
+
 def test_rejected_branches_are_pruned_as_soon_as_a_rule_completes(monkeypatch):
     from ionsurgery import purify
 

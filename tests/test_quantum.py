@@ -13,6 +13,23 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def tensordot_unitary(rho, u, targets, n):
+    """U rho U^dag for a k-qubit U on `targets`, contracted with np.tensordot.
+
+    The general contraction the simulator's kernels replace: the oracle of
+    the one-target `_apply_unitary_raw` and of `_cnot_raw` and `_cz_raw`.
+    """
+    k = len(targets)
+    t = rho.reshape((2,) * (2 * n))
+    ut = u.reshape((2,) * (2 * k))
+    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), targets))
+    t = np.moveaxis(t, range(k), targets)
+    bra = [n + q for q in targets]
+    t = np.tensordot(np.conj(ut), t, axes=(list(range(k, 2 * k)), bra))
+    t = np.moveaxis(t, range(k), bra)
+    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
+
+
 def random_state(rng, n):
     dim = 2 ** n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -102,25 +119,24 @@ def test_noise_model_presets():
 
 def test_qubit_zero_is_most_significant():
     zero2 = np.diag([1, 0, 0, 0]).astype(complex)
-    flipped = Q._apply_unitary_raw(zero2, X, [0], 2)
+    flipped = Q._apply_unitary_raw(zero2, X, 0, 2)
     assert flipped[2, 2] == pytest.approx(1.0)  # |10>
-    flipped = Q._apply_unitary_raw(zero2, X, [1], 2)
+    flipped = Q._apply_unitary_raw(zero2, X, 1, 2)
     assert flipped[1, 1] == pytest.approx(1.0)  # |01>
 
 
 def test_cnot_convention_control_first():
     ten = np.diag([0, 0, 1, 0]).astype(complex)  # |10>
-    out = Q._apply_unitary_raw(ten, Q.CNOT, [0, 1], 2)
+    out = tensordot_unitary(ten, Q.CNOT, [0, 1], 2)
     assert out[3, 3] == pytest.approx(1.0)  # |11>
-    out = Q._apply_unitary_raw(ten, Q.CNOT, [1, 0], 2)  # control |0> does nothing
+    out = tensordot_unitary(ten, Q.CNOT, [1, 0], 2)  # control |0> does nothing
     assert out[2, 2] == pytest.approx(1.0)
 
 
 def test_unitarity_preserves_trace_and_spectrum():
     rng = np.random.default_rng(11)
     rho = random_state(rng, 3)
-    out = Q._apply_unitary_raw(Q._apply_unitary_raw(rho.entries, Q.CNOT, [0, 2], 3),
-                               Q.S_GATE, [1], 3)
+    out = Q._apply_unitary_raw(Q._cnot_raw(rho.entries, 0, 2, 3), Q.S_GATE, 1, 3)
     assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
                        np.sort(np.linalg.eigvalsh(rho.entries)), atol=1e-10)
@@ -179,7 +195,7 @@ def test_depolarize_matches_single_qubit_kraus():
     out = Q._depolarize_raw(rho, p, [1], 3)
     want = (1 - p) * rho
     for sig in (X, Y, Z):
-        want = want + (p / 3) * Q._apply_unitary_raw(rho, sig, [1], 3)
+        want = want + (p / 3) * Q._apply_unitary_raw(rho, sig, 1, 3)
     assert np.abs(out - want).max() < 1e-14
 
 
@@ -195,7 +211,7 @@ def test_depolarize_matches_two_qubit_kraus():
             if a == b == 0:
                 continue
             u = np.kron(paulis[a], paulis[b])
-            want = want + (p / 15) * Q._apply_unitary_raw(rho, u, [0, 2], 3)
+            want = want + (p / 15) * tensordot_unitary(rho, u, [0, 2], 3)
     assert np.abs(out - want).max() < 1e-14
 
 
@@ -304,9 +320,9 @@ def basis_projectors(basis):
 def check_kernels(rho, n, pairs, qubits):
     for c, t in pairs:
         assert np.array_equal(Q._cnot_raw(rho, c, t, n),
-                              Q._apply_unitary_raw(rho, Q.CNOT, [c, t], n))
+                              tensordot_unitary(rho, Q.CNOT, [c, t], n))
         assert np.array_equal(Q._cz_raw(rho, c, t, n),
-                              Q._apply_unitary_raw(rho, Q.CZ, [c, t], n))
+                              tensordot_unitary(rho, Q.CZ, [c, t], n))
         for p in (5e-5, 0.3):
             assert np.array_equal(Q._depolarize_raw(rho, p, [c, t], n),
                                   kron_depolarize(rho, p, [c, t], n))
@@ -321,7 +337,7 @@ def check_kernels(rho, n, pairs, qubits):
                 assert np.array_equal(s, want)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_fast_kernels_are_bitwise_equal(n):
     rng = np.random.default_rng(100 + n)
     pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
@@ -330,7 +346,42 @@ def test_fast_kernels_are_bitwise_equal(n):
 
 def test_fast_kernels_are_bitwise_equal_at_ten_qubits():
     rng = np.random.default_rng(110)
-    check_kernels(random_psd(rng, 10), 10, [(7, 2)], [0, 9])
+    rho = random_psd(rng, 10)
+    check_kernels(rho, 10, [(7, 2)], [0, 9])
+    # every depolarizing plan of the widest state the simulator builds
+    for c in range(10):
+        for t in range(10):
+            if c != t:
+                assert np.array_equal(Q._depolarize_raw(rho, 5e-5, [c, t], 10),
+                                      kron_depolarize(rho, 5e-5, [c, t], 10))
+
+
+def with_signed_zeros(rng, rho):
+    """rho with a third of its real and of its imaginary parts set to +0.0 or -0.0."""
+    out = rho.copy()
+    for part in (out.real, out.imag):
+        hit = rng.random(part.shape) < 1 / 3
+        part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return out
+
+
+def same_bits(a, b):
+    """Equal bit patterns: equal entries with equal sign bits, +0.0 is not -0.0."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                                               for n in (9, 10))])
+def test_one_target_kernel_matches_tensordot(n):
+    # the simulator's only dense gate: every Clifford of the table at every
+    # position, bit for bit and sign for sign against the general contraction
+    rng = np.random.default_rng(200 + n)
+    rho = with_signed_zeros(rng, random_psd(rng, n))
+    for q in range(n):
+        for u in Q.CLIFFORD_UNITARIES:
+            got = Q._apply_unitary_raw(rho, u, q, n)
+            assert got.flags.c_contiguous
+            assert same_bits(got, tensordot_unitary(rho, u, [q], n))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +393,14 @@ def test_partial_trace_recovers_product_factors():
     joint = np.kron(a, b)
     assert np.abs(Q._partial_trace_raw(joint, [0], 3) - a).max() < 1e-14
     assert np.abs(Q._partial_trace_raw(joint, [1, 2], 3) - b).max() < 1e-14
+
+
+def test_partial_trace_keeping_every_qubit_is_a_copy():
+    rho = random_state(np.random.default_rng(14), 3).entries
+    out = Q._partial_trace_raw(rho, [0, 1, 2], 3)
+    assert np.array_equal(out, rho) and not np.shares_memory(out, rho)
+    assert np.array_equal(Q._partial_trace_raw(rho, [2, 0, 1], 3),
+                          Q._permute_raw(rho, [2, 0, 1], 3))
 
 
 def test_partial_trace_of_bell_is_maximally_mixed():

@@ -444,6 +444,10 @@ def test_lockstep_search_repeats_the_scalar_probes():
     got = _search_min(lambda m, cells: table[cells, m], lo)
     want = [_scalar_search_min(lambda m: table[i, m], int(lo[i])) for i in range(200)]
     assert got.tolist() == want
+    # per-cell arrays reach the predicate row-aligned with the probes
+    rows = rng.permutation(200)
+    got = _search_min(lambda m, r: table[r, m], lo[rows], rows)
+    assert got.tolist() == [want[i] for i in rows]
 
 
 def test_lockstep_search_stops_at_its_limit():
@@ -452,6 +456,13 @@ def test_lockstep_search_stops_at_its_limit():
     assert _search_min(lambda m, _: m >= SEARCH_LIMIT, [1]).tolist() == [SEARCH_LIMIT]
     with pytest.raises(ValueError):
         _search_min(lambda m, _: m > SEARCH_LIMIT, [1])
+
+
+def test_attempts_required_names_p_entangle_when_the_search_runs_out():
+    # a vanishing p_c leaves P_onepair below the target at every probe up to
+    # the search limit; the message starts with the field so the CLI names --pc
+    with pytest.raises(ValueError, match=r"^p_entangle 1e-21 is too small"):
+        attempts_required(100, 1e-21, 10, 0.999)
 
 
 def test_sweep_rejects_bad_cells():
