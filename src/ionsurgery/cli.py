@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the best circuit JSON here")
     _add_common(q, strict=False)
     q.set_defaults(fn=_cmd_purify_search, flags={
-        "n_pairs": "--n", "population_size": "--pop", "generations": "--gens"})
+        "n_pairs": "--n", "population_size": "--pop", "generations": "--gens",
+        "seed": "--seed"})
 
     q = psub.add_parser("benchmark", help="re-simulate a circuit directory")
     q.add_argument("--circuits", required=True, help="directory of circuit JSON")
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when any check fails")
     p.set_defaults(fn=_cmd_validate, flags={
         "n_ions": "--ions", "attempts": "--attempts", "p_entangle": "--pc",
-        "p_ls": "--p-ls", "trials": "--trials"})
+        "p_ls": "--p-ls", "trials": "--trials", "seed": "--seed"})
 
     return ap
 

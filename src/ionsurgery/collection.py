@@ -58,6 +58,8 @@ class TrialConfig:
             raise ValueError("p_entangle must lie in [0,1]")
         if self.attempts < 0:
             raise ValueError("attempts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

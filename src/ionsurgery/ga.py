@@ -58,6 +58,8 @@ class GaConfig:
             raise ValueError("n_pairs must be 3, 4 or 5")
         if self.generations < 1:
             raise ValueError("generations must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -37,16 +37,6 @@ RELATIONS = ("coincident", "anticoincident")
 MIN_PAIRS = 2
 MAX_PAIRS = 5
 
-# the keys circuit JSON allows, per object
-_CIRCUIT_KEYS = {"n_pairs", "ops", "accept"}
-_OP_KEYS = {
-    "cnot": {"kind", "side", "control_pair", "target_pair"},
-    "cz": {"kind", "side", "control_pair", "target_pair"},
-    "clifford": {"kind", "side", "pair", "index"},
-    "measure": {"kind", "side", "pair", "basis", "record_label"},
-}
-_ACCEPT_KEYS = {"label_i", "label_j", "relation"}
-
 
 # ---------------------------------------------------------------------------
 # circuit description
@@ -61,6 +51,7 @@ class TwoQubitGate:
 
 @dataclass(frozen=True)
 class SingleQubitClifford:
+    kind = "clifford"  # a class constant, not a field
     pair: int
     side: str
     index: int  # canonical Clifford index 0..23
@@ -68,6 +59,7 @@ class SingleQubitClifford:
 
 @dataclass(frozen=True)
 class Measure:
+    kind = "measure"  # a class constant, not a field
     pair: int
     side: str
     basis: str  # "X" | "Y" | "Z"
@@ -79,6 +71,19 @@ class AcceptRule:
     label_i: str
     label_j: str
     relation: str  # "coincident" | "anticoincident"
+
+
+# circuit JSON: op kind -> (op type, its keys after "kind", in output order)
+_OPS = {
+    "cnot": (TwoQubitGate, ("side", "control_pair", "target_pair")),
+    "cz": (TwoQubitGate, ("side", "control_pair", "target_pair")),
+    "clifford": (SingleQubitClifford, ("side", "pair", "index")),
+    "measure": (Measure, ("side", "pair", "basis", "record_label")),
+}
+_RULE_KEYS = ("label_i", "label_j", "relation")
+# the keys `_field` type-checks; side, basis and relation are checked by value
+_INT_KEYS = ("n_pairs", "control_pair", "target_pair", "pair", "index")
+_STR_KEYS = ("record_label", "label_i", "label_j")
 
 
 @dataclass(frozen=True)
@@ -101,46 +106,40 @@ class PurificationCircuit:
         if not (MIN_PAIRS <= self.n_pairs <= MAX_PAIRS):
             raise ValueError(f"n_pairs must be {MIN_PAIRS}..{MAX_PAIRS}")
         measured = set()
-        labels = {}
+        labels = set()
         for op in self.ops:
+            reuse = "gate on an already-measured qubit"
             if isinstance(op, TwoQubitGate):
                 if op.kind not in ("cnot", "cz"):
                     raise ValueError(f"unknown two-qubit gate {op.kind!r}")
-                if op.side not in SIDES:
-                    raise ValueError("side must be A or B")
                 if op.control_pair == op.target_pair:
                     raise ValueError("control and target pairs must differ")
-                for p in (op.control_pair, op.target_pair):
-                    if not (0 <= p < self.n_pairs):
-                        raise ValueError("pair index out of range")
-                    if (p, op.side) in measured:
-                        raise ValueError("gate on an already-measured qubit")
+                pairs = (op.control_pair, op.target_pair)
             elif isinstance(op, SingleQubitClifford):
-                if op.side not in SIDES:
-                    raise ValueError("side must be A or B")
-                if not (0 <= op.pair < self.n_pairs):
-                    raise ValueError("pair index out of range")
                 if not (0 <= op.index < 24):
                     raise ValueError("clifford index must be 0..23")
-                if (op.pair, op.side) in measured:
-                    raise ValueError("gate on an already-measured qubit")
+                pairs = (op.pair,)
             elif isinstance(op, Measure):
-                if op.side not in SIDES:
-                    raise ValueError("side must be A or B")
                 if op.basis not in BASES:
                     raise ValueError("basis must be X, Y or Z")
                 if op.pair == 0:
                     raise ValueError("pair 0 is the output and is never measured")
-                if not (0 <= op.pair < self.n_pairs):
-                    raise ValueError("pair index out of range")
-                if (op.pair, op.side) in measured:
-                    raise ValueError("qubit measured twice")
                 if op.record_label in labels:
                     raise ValueError(f"duplicate record label {op.record_label!r}")
-                measured.add((op.pair, op.side))
-                labels[op.record_label] = op
+                labels.add(op.record_label)
+                pairs, reuse = (op.pair,), "qubit measured twice"
             else:
                 raise TypeError(f"unknown instruction {op!r}")
+            # the side is checked first: `measured` hashes it
+            if op.side not in SIDES:
+                raise ValueError("side must be A or B")
+            for p in pairs:
+                if not (0 <= p < self.n_pairs):
+                    raise ValueError("pair index out of range")
+                if (p, op.side) in measured:
+                    raise ValueError(reuse)
+            if isinstance(op, Measure):
+                measured.add((op.pair, op.side))
         for rule in self.accept:
             if rule.relation not in RELATIONS:
                 raise ValueError("relation must be coincident or anticoincident")
@@ -151,47 +150,30 @@ class PurificationCircuit:
     # -- JSON interchange ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        ops = []
-        for op in self.ops:
-            if isinstance(op, TwoQubitGate):
-                ops.append({"kind": op.kind, "side": op.side,
-                            "control_pair": op.control_pair,
-                            "target_pair": op.target_pair})
-            elif isinstance(op, SingleQubitClifford):
-                ops.append({"kind": "clifford", "side": op.side,
-                            "pair": op.pair, "index": op.index})
-            else:
-                ops.append({"kind": "measure", "side": op.side, "pair": op.pair,
-                            "basis": op.basis, "record_label": op.record_label})
-        accept = [{"label_i": r.label_i, "label_j": r.label_j,
-                   "relation": r.relation} for r in self.accept]
+        ops = [{"kind": op.kind, **{k: getattr(op, k) for k in _OPS[op.kind][1]}}
+               for op in self.ops]
+        accept = [{k: getattr(r, k) for k in _RULE_KEYS} for r in self.accept]
         return {"n_pairs": self.n_pairs, "ops": ops, "accept": accept}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PurificationCircuit":
-        _check_keys(d, _CIRCUIT_KEYS, "circuit", optional={"accept"})
+        _check_keys(d, ("n_pairs", "ops", "accept"), "circuit", optional={"accept"})
         ops = []
         for o in _list_field(d, "ops"):
             _check_object(o, "op")
             kind = o.get("kind")
-            if not isinstance(kind, str) or kind not in _OP_KEYS:
+            if not isinstance(kind, str) or kind not in _OPS:
                 raise ValueError(f"unknown op kind {kind!r}")
-            _check_keys(o, _OP_KEYS[kind], f"{kind} op")
-            if kind == "clifford":
-                ops.append(SingleQubitClifford(_int_field(o, "pair"), o["side"],
-                                               _int_field(o, "index")))
-            elif kind == "measure":
-                ops.append(Measure(_int_field(o, "pair"), o["side"], o["basis"],
-                                   _str_field(o, "record_label")))
-            else:
-                ops.append(TwoQubitGate(kind, o["side"], _int_field(o, "control_pair"),
-                                        _int_field(o, "target_pair")))
+            op_type, keys = _OPS[kind]
+            _check_keys(o, ("kind", *keys), f"{kind} op")
+            fields = {k: _field(o, k) for k in keys}
+            ops.append(op_type(kind, **fields) if op_type is TwoQubitGate
+                       else op_type(**fields))
         accept = []
         for a in _list_field(d, "accept", []):
-            _check_keys(a, _ACCEPT_KEYS, "accept rule")
-            accept.append(AcceptRule(_str_field(a, "label_i"), _str_field(a, "label_j"),
-                                     a["relation"]))
-        return cls(_int_field(d, "n_pairs"), tuple(ops), tuple(accept))
+            _check_keys(a, _RULE_KEYS, "accept rule")
+            accept.append(AcceptRule(**{k: _field(a, k) for k in _RULE_KEYS}))
+        return cls(_field(d, "n_pairs"), tuple(ops), tuple(accept))
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -206,26 +188,22 @@ def _check_object(obj, what: str) -> None:
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
 
 
-def _check_keys(obj: dict, known: set, what: str, optional=frozenset()) -> None:
+def _check_keys(obj: dict, known, what: str, optional=frozenset()) -> None:
     _check_object(obj, what)
-    extra = set(obj) - known
+    extra = set(obj) - set(known)
     if extra:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
-    missing = known - optional - set(obj)
+    missing = set(known) - optional - set(obj)
     if missing:
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _int_field(obj: dict, key: str) -> int:
+def _field(obj: dict, key: str):
+    """obj[key], type-checked when it is a count or a label; _check checks the rest."""
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if key in _INT_KEYS and (isinstance(v, bool) or not isinstance(v, int)):
         raise ValueError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _str_field(obj: dict, key: str) -> str:
-    v = obj[key]
-    if not isinstance(v, str):
+    if key in _STR_KEYS and not isinstance(v, str):
         raise ValueError(f"{key} must be a string, got {v!r}")
     return v
 

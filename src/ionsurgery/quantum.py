@@ -63,8 +63,8 @@ class DensityMatrix:
         if arr.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim} for {self.num_qubits} qubits")
 
-    def validate(self, check_psd: bool = True) -> "DensityMatrix":
-        """Check finiteness, Hermiticity, unit trace and (optionally) positivity."""
+    def validate(self) -> "DensityMatrix":
+        """Check finiteness, Hermiticity, unit trace and positivity."""
         a = self.entries
         if not np.isfinite(a).all():
             raise ValueError("entries must be finite")
@@ -72,10 +72,9 @@ class DensityMatrix:
             raise ValueError("not Hermitian within 1e-10")
         if abs(np.trace(a) - 1) > TRACE_TOL:
             raise ValueError("trace differs from 1 by more than 1e-9")
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(a)[0])
-            if lo < PSD_TOL:
-                raise ValueError(f"minimum eigenvalue {lo:.3e} below tolerance")
+        lo = float(np.linalg.eigvalsh(a)[0])
+        if lo < PSD_TOL:
+            raise ValueError(f"minimum eigenvalue {lo:.3e} below tolerance")
         return self
 
 

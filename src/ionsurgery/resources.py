@@ -43,11 +43,12 @@ class DeviceParams:
     def __post_init__(self):
         if not (math.isfinite(self.pulse_rate_hz) and self.pulse_rate_hz > 0):
             raise ValueError("pulse_rate_hz must be positive and finite")
-        for name in ("p_entangle", "p_purify", "p_pair_confidence", "p_ls_confidence",
-                     "f_ideal"):
+        for name in ("p_entangle", "p_purify", "p_ls_confidence", "f_ideal"):
             v = getattr(self, name)
             if not (0 < v <= 1):
                 raise ValueError(f"{name} must lie in (0,1]")
+        if not (0 < self.p_pair_confidence < 1):  # multiplexing_k's domain
+            raise ValueError("p_pair_confidence must lie in (0,1)")
         _check_int("pairs_per_circuit", self.pairs_per_circuit)
         if self.pairs_per_circuit < 2:
             raise ValueError("pairs_per_circuit must be at least 2")
@@ -140,15 +141,22 @@ def binomial_tail_geq(n: int, p: float, k: int) -> float:
         return 1.0
     if k == n + 1:
         return 0.0
+    return float(_tail(k, n, p))
+
+
+def _tail(k, n, p):
+    """P(X >= k) = I_p(k, n-k+1) for X ~ Binomial(n, p), elementwise."""
     from scipy.special import betainc  # loaded on the first solver call only
 
-    # P(X >= k) = I_p(k, n-k+1)
-    return float(betainc(k, n - k + 1, p))
+    return betainc(k, n - k + 1, p)
 
 
-def _threshold(n_ls: int, paper_compat: bool) -> int:
+def _demand(distance: int, device: DeviceParams, paper_compat: bool) -> tuple:
+    """(K, N_LS, k*): circuits per pair, raw pairs per cycle, pairs the ions must hold."""
+    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
+    n_ls = pairs_required(distance, device.pairs_per_circuit, k)
     # the published sweeps use a strict inequality, costing one extra pair
-    return n_ls + 1 if paper_compat else n_ls
+    return k, n_ls, n_ls + 1 if paper_compat else n_ls
 
 
 # largest probe of the integer search; doubling past it would leave int64
@@ -205,20 +213,14 @@ def _search_min(pred, lo, *cols) -> np.ndarray:
 
 def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarray:
     """Per cell, the fewest ions m >= k_star with P(X >= k_star | m, p1) >= target."""
-    from scipy.special import betainc  # loaded on the first solver call only
-
-    # P(X >= k) = I_p1(k, m-k+1), the ufunc behind binomial_tail_geq
-    return _search_min(lambda m, k, p: betainc(k, m - k + 1, p) >= target,
-                       k_star, k_star, p1)
+    return _search_min(lambda m, k, p: _tail(k, m, p) >= target, k_star, k_star, p1)
 
 
 def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     """Fewest communication ions that fill the pair demand within one cycle."""
     if query.cycle_time_s is None:
         raise ValueError("min_ions needs a cycle_time_s query")
-    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
-    n_ls = pairs_required(query.distance, device.pairs_per_circuit, k)
-    k_star = _threshold(n_ls, query.paper_compat)
+    k, n_ls, k_star = _demand(query.distance, device, query.paper_compat)
     budget = int(math.floor(query.cycle_time_s * device.pulse_rate_hz))
     p1 = p_onepair(device.p_entangle, budget)
     if p1 <= 0:
@@ -258,9 +260,7 @@ def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     """
     if query.n_ions is None:
         raise ValueError("max_rate needs an n_ions query")
-    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
-    n_ls = pairs_required(query.distance, device.pairs_per_circuit, k)
-    k_star = _threshold(n_ls, query.paper_compat)
+    k, n_ls, k_star = _demand(query.distance, device, query.paper_compat)
     if query.n_ions < k_star:
         return EstimateResult(k, n_ls, 0, 0, 0.0, False, query.distance)
     a_min = attempts_required(query.n_ions, device.p_entangle, k_star,
@@ -286,9 +286,7 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
             SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
     if not all(0 < pc <= 1 for pc in p_c_grid):
         raise ValueError("p_c_grid values must lie in (0,1]")
-    k = multiplexing_k(device.p_purify, device.p_pair_confidence)
-    k_star = np.repeat([_threshold(pairs_required(d, device.pairs_per_circuit, k),
-                                   paper_compat) for d in distances],
+    k_star = np.repeat([_demand(d, device, paper_compat)[2] for d in distances],
                        len(cycle_times_s) * len(p_c_grid))
     budgets = [int(math.floor(t * device.pulse_rate_hz)) for t in cycle_times_s]
     p1 = np.tile([p_onepair(pc, b) for b in budgets for pc in p_c_grid], len(distances))

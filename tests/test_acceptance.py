@@ -147,7 +147,7 @@ def test_measured_pair_data_invariants():
     rot = isg.stephenson_pair(rotated=True)
     assert isg.fidelity_to_bell(rot) == pytest.approx(0.933172, abs=1e-5)
     for rho in (isg.stephenson_pair(rotated=False), rot):
-        rho.validate(check_psd=True)
+        rho.validate()
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-3)
         assert np.allclose(rho.entries, rho.entries.conj().T)
 

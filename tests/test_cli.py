@@ -326,6 +326,8 @@ def test_usage_errors_exit_2(capsys, argv):
     (["validate", "--p-ls", "1.5"], "--p-ls"),
     (["validate", "--trials", "0"], "--trials"),
     (["rate", "--distance", "3", "--ions", "100", "--pc", "1e-21"], "--pc"),
+    (["purify", "search", "--seed", "-1"], "--seed"),
+    (["validate", "--seed", "-5"], "--seed"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     # the library names the field it rejects; the CLI error line names the flag

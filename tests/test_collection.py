@@ -31,6 +31,8 @@ def test_config_validation():
         TrialConfig(n_ions=5, p_entangle=0.5, attempts=1, trials=0, seed=0)
     with pytest.raises(ValueError):
         TrialConfig(n_ions=5, p_entangle=float("nan"), attempts=1, trials=10, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrialConfig(n_ions=5, p_entangle=0.5, attempts=1, trials=10, seed=-1)
 
 
 @pytest.mark.parametrize("field", ["n_ions", "attempts", "trials", "seed"])

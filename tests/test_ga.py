@@ -36,6 +36,8 @@ def test_config_validation():
         GaConfig(n_pairs=6)
     with pytest.raises(ValueError):
         GaConfig(generations=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        GaConfig(seed=-1)
     # counts are integers: NumPy integers pass, bools and floats do not
     assert GaConfig(population_size=np.int64(4), seed=np.int32(3)).population_size == 4
     for field in ("population_size", "generations", "n_pairs", "seed"):

@@ -80,6 +80,9 @@ def test_device_validation():
         DeviceParams(p_entangle=0.0)
     with pytest.raises(ValueError):
         DeviceParams(p_purify=1.5)
+    # P_pair = 1 needs infinitely many circuits: multiplexing_k rejects it
+    with pytest.raises(ValueError, match=r"p_pair_confidence must lie in \(0,1\)"):
+        DeviceParams(p_pair_confidence=1.0)
     with pytest.raises(ValueError):
         DeviceParams(pairs_per_circuit=1)
     for count in (2.5, 3.0, True):
