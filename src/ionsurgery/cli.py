@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 only-infeasible results (or failed validation)
 under --strict, 2 usage error: a bad flag, any input value the library
 rejects with ValueError, or an unwritable output path; stdout then stays
 empty, and the stderr error line names the flag that set the rejected
-value.  The default device file ships in the package; --device or the
-IONSURGERY_DEVICE environment variable override it.
+value, or the device or circuit file that held it.  The default device
+file ships in the package; --device or the IONSURGERY_DEVICE environment
+variable override it.
 """
 
 import argparse
@@ -87,21 +88,19 @@ def _cycle_times_s(args) -> list:
     return [PARADIGMS[n] for n in names]
 
 
+def _read(load, what: str, path):
+    """load(path), with any read or content error naming the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"bad {what} file {str(path)!r}: {exc}") from None
+
+
 def _device(args):
     path = args.device or os.environ.get("IONSURGERY_DEVICE")
-    try:
-        dev = load_device(path) if path else default_device()
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        raise ValueError(f"bad device file: {exc}") from None
+    dev = _read(load_device, "device", path) if path else default_device()
     # replace() re-runs DeviceParams' checks on the new p_entangle
     return dev if args.pc is None else replace(dev, p_entangle=args.pc)
-
-
-def _load_circuit(path):
-    try:
-        return load_circuit(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"bad circuit file: {exc}") from None
 
 
 def _parse_input(text: str):
@@ -215,7 +214,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_purify_simulate(args) -> int:
-    circ = _load_circuit(args.circuit)
+    circ = _read(load_circuit, "circuit", args.circuit)
     out = simulate(circ, _parse_input(args.input), NOISE[args.noise])
     report = {
         "circuit": str(args.circuit),
@@ -260,7 +259,7 @@ def _cmd_purify_benchmark(args) -> int:
     paths = sorted(Path(args.circuits).glob("*.json"))
     if not paths:
         raise ValueError(f"no circuit JSON files under {args.circuits!r}")
-    circuits = [_load_circuit(p) for p in paths]
+    circuits = [_read(load_circuit, "circuit", p) for p in paths]
     rows = [{"n_pairs": row.n_pairs, "success_probability": row.success_probability,
              "output_fidelity": row.output_fidelity, "circuit_path": str(p)}
             for p, row in zip(paths, benchmark_sweep(circuits, NOISE[args.noise]))]

@@ -5,11 +5,17 @@ pair is measured on both sides and accepted on a per-pair coincidence
 relation.  Insertions are biased toward bilateral two-qubit gates and
 conjugate Clifford pairs (U on A with conj(U) on B leaves phi+ invariant),
 which is where useful purification structure lives.
+
+A genome is an immutable `_Genome(gates, bases, relations)` of tuples, so
+it is its own cache key.  `gates` holds (kind, side, pair, pair-or-index)
+records, at most MAX_OPS; `bases` holds one basis per ancilla pair and side,
+ordered (1, A), (1, B), (2, A), ...; `relations` holds one accept relation
+per ancilla pair 1..n-1.  The search evaluates each distinct genome once.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,107 +102,107 @@ def fitness(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> float:
 # ---------------------------------------------------------------------------
 # genome
 
+class _Genome(NamedTuple):
+    gates: tuple
+    bases: tuple
+    relations: tuple
+
+
 def _record_label(pair: int, side: str, n_pairs: int) -> str:
     # qubit numbering q0..q_{2n-1} with side A first, as in the circuit layout
     return f"c{pair + (0 if side == 'A' else n_pairs)}"
 
 
-def _genome_to_circuit(g: dict, n_pairs: int) -> PurificationCircuit:
-    ops = []
-    for item in g["gates"]:
-        if item[0] in ("cnot", "cz"):
-            ops.append(TwoQubitGate(item[0], item[1], item[2], item[3]))
-        else:
-            ops.append(SingleQubitClifford(item[2], item[1], item[3]))
+def _genome_to_circuit(g: _Genome, n_pairs: int) -> PurificationCircuit:
+    ops = [TwoQubitGate(*item) if item[0] in ("cnot", "cz")
+           else SingleQubitClifford(item[2], item[1], item[3]) for item in g.gates]
     accept = []
-    for pair in range(1, n_pairs):
-        for side in SIDES:
-            ops.append(Measure(pair, side, g["bases"][(pair, side)],
-                               _record_label(pair, side, n_pairs)))
+    for pair, relation in zip(range(1, n_pairs), g.relations):
+        for side, basis in zip(SIDES, g.bases[2 * pair - 2:2 * pair]):
+            ops.append(Measure(pair, side, basis, _record_label(pair, side, n_pairs)))
         accept.append(AcceptRule(_record_label(pair, "A", n_pairs),
-                                 _record_label(pair, "B", n_pairs),
-                                 g["relations"][pair]))
+                                 _record_label(pair, "B", n_pairs), relation))
     return PurificationCircuit(n_pairs, tuple(ops), tuple(accept))
 
 
-def _random_motif(rng, n_pairs: int) -> list:
+def _random_motif(rng, n_pairs: int) -> tuple:
     r = rng.random()
     i = int(rng.integers(n_pairs))
     j = int(rng.integers(n_pairs - 1))
     j = j if j < i else j + 1
     if r < 0.40:
-        return [("cnot", "A", i, j), ("cnot", "B", i, j)]
+        return ("cnot", "A", i, j), ("cnot", "B", i, j)
     if r < 0.55:
-        return [("cz", "A", i, j), ("cz", "B", i, j)]
+        return ("cz", "A", i, j), ("cz", "B", i, j)
     if r < 0.85:
         c = int(rng.integers(24))
-        return [("clifford", "A", i, c), ("clifford", "B", i,
-                                          CLIFFORD_CONJUGATE_PARTNER[c])]
+        return (("clifford", "A", i, c),
+                ("clifford", "B", i, CLIFFORD_CONJUGATE_PARTNER[c]))
     side = SIDES[int(rng.integers(2))]
     k = rng.random()
     if k < 0.4:
-        return [("cnot", side, i, j)]
+        return (("cnot", side, i, j),)
     if k < 0.6:
-        return [("cz", side, i, j)]
-    return [("clifford", side, i, int(rng.integers(24)))]
+        return (("cz", side, i, j),)
+    return (("clifford", side, i, int(rng.integers(24))),)
 
 
-def _random_genome(rng, n_pairs: int) -> dict:
-    gates = []
+def _random_genome(rng, n_pairs: int) -> _Genome:
+    gates = ()
     for _ in range(int(rng.integers(1, 6))):
-        gates.extend(_random_motif(rng, n_pairs))
-    bases = {(p, s): BASES[int(rng.integers(3))]
-             for p in range(1, n_pairs) for s in SIDES}
-    relations = {p: RELATIONS[int(rng.integers(2))] for p in range(1, n_pairs)}
-    return {"gates": gates[:MAX_OPS], "bases": bases, "relations": relations}
+        gates += _random_motif(rng, n_pairs)
+    bases = tuple(BASES[int(rng.integers(3))] for _ in range(2 * (n_pairs - 1)))
+    relations = tuple(RELATIONS[int(rng.integers(2))] for _ in range(n_pairs - 1))
+    return _Genome(gates[:MAX_OPS], bases, relations)
 
 
-def _copy(g: dict) -> dict:
-    return {"gates": list(g["gates"]), "bases": dict(g["bases"]),
-            "relations": dict(g["relations"])}
+def _put(t: tuple, k: int, v) -> tuple:
+    return t[:k] + (v,) + t[k + 1:]
 
 
-def _mutate_once(g: dict, rng, n_pairs: int) -> None:
+def _mutate_once(g: _Genome, rng, n_pairs: int) -> _Genome:
+    gates = g.gates
     r = rng.random()
     if r < 0.35:  # insert a motif
-        pos = int(rng.integers(len(g["gates"]) + 1))
-        g["gates"][pos:pos] = _random_motif(rng, n_pairs)
-        g["gates"] = g["gates"][:MAX_OPS]
-    elif r < 0.55 and g["gates"]:  # delete
-        del g["gates"][int(rng.integers(len(g["gates"])))]
-    elif r < 0.70 and g["gates"]:  # redraw one gate in place
-        g["gates"][int(rng.integers(len(g["gates"])))] = _random_motif(rng, n_pairs)[0]
-    elif r < 0.90:  # redraw a measurement basis
-        p = int(rng.integers(1, n_pairs))
-        s = SIDES[int(rng.integers(2))]
-        g["bases"][(p, s)] = BASES[int(rng.integers(3))]
-    else:  # toggle an accept relation
-        p = int(rng.integers(1, n_pairs))
-        g["relations"][p] = RELATIONS[1 - RELATIONS.index(g["relations"][p])]
+        pos = int(rng.integers(len(gates) + 1))
+        gates = gates[:pos] + _random_motif(rng, n_pairs) + gates[pos:]
+        return g._replace(gates=gates[:MAX_OPS])
+    if r < 0.55 and gates:  # delete
+        k = int(rng.integers(len(gates)))
+        return g._replace(gates=gates[:k] + gates[k + 1:])
+    if r < 0.70 and gates:  # redraw one gate in place
+        # the gate is drawn before its site: seeded searches depend on the order
+        gate = _random_motif(rng, n_pairs)[0]
+        return g._replace(gates=_put(gates, int(rng.integers(len(gates))), gate))
+    p = int(rng.integers(1, n_pairs))
+    if r < 0.90:  # redraw a measurement basis
+        k = 2 * (p - 1) + int(rng.integers(2))
+        return g._replace(bases=_put(g.bases, k, BASES[int(rng.integers(3))]))
+    # toggle an accept relation
+    flipped = RELATIONS[1 - RELATIONS.index(g.relations[p - 1])]
+    return g._replace(relations=_put(g.relations, p - 1, flipped))
 
 
-def _mutate(g: dict, rng, n_pairs: int, rate: float) -> dict:
+def _mutate(g: _Genome, rng, n_pairs: int, rate: float) -> _Genome:
     # rate is per-site: one Bernoulli(rate) trial per mutable locus, so the
     # number of events scales with genome length (gates + bases + relations,
     # +1 for the length locus itself)
-    g = _copy(g)
-    n_sites = len(g["gates"]) + len(g["bases"]) + len(g["relations"]) + 1
+    n_sites = len(g.gates) + len(g.bases) + len(g.relations) + 1
     for _ in range(int(rng.binomial(n_sites, rate))):
-        _mutate_once(g, rng, n_pairs)
+        g = _mutate_once(g, rng, n_pairs)
     return g
 
 
-def _crossover(g1: dict, g2: dict, rng, n_pairs: int) -> dict:
-    i = int(rng.integers(len(g1["gates"]) + 1))
-    j = int(rng.integers(len(g2["gates"]) + 1))
-    gates = (g1["gates"][:i] + g2["gates"][j:])[:MAX_OPS]
-    bases = {}
-    relations = {}
-    for p in range(1, n_pairs):
-        relations[p] = (g1 if rng.random() < 0.5 else g2)["relations"][p]
-        for s in SIDES:
-            bases[(p, s)] = (g1 if rng.random() < 0.5 else g2)["bases"][(p, s)]
-    return {"gates": gates, "bases": bases, "relations": relations}
+def _crossover(g1: _Genome, g2: _Genome, rng, n_pairs: int) -> _Genome:
+    i = int(rng.integers(len(g1.gates) + 1))
+    j = int(rng.integers(len(g2.gates) + 1))
+    gates = (g1.gates[:i] + g2.gates[j:])[:MAX_OPS]
+    bases, relations = [], []
+    for p in range(n_pairs - 1):
+        relations.append((g1 if rng.random() < 0.5 else g2).relations[p])
+        for k in (2 * p, 2 * p + 1):
+            bases.append((g1 if rng.random() < 0.5 else g2).bases[k])
+    return _Genome(gates, tuple(bases), tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +215,28 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
     Deterministic for a fixed config (bitwise-identical reruns).  By default
     the final population is returned; archive=True instead ranks every
     distinct circuit evaluated during the whole run, which is the candidate
-    pool that downstream benchmarking draws from.
+    pool that downstream benchmarking draws from.  Ties keep population
+    order, or first-evaluation order in the archive.
     """
     rho = resolve_input(input_spec)
     rng = np.random.default_rng(config.seed)
     n_pairs = config.n_pairs
     pop = [_random_genome(rng, n_pairs) for _ in range(config.population_size)]
 
-    cache = {}
-    pool = []  # (key, circuit, outcome) in first-evaluation order
+    cache = {}  # genome -> RankedCircuit, in first-evaluation order
 
-    def evaluate(g: dict):
-        key = json.dumps([g["gates"],
-                          sorted((p, s, b) for (p, s), b in g["bases"].items()),
-                          sorted(g["relations"].items())])
-        hit = cache.get(key)
+    def evaluate(g: _Genome) -> RankedCircuit:
+        hit = cache.get(g)
         if hit is None:
             circ = _genome_to_circuit(g, n_pairs)
             out = simulate(circ, rho, noise)
-            hit = (_score(out), out)
-            cache[key] = hit
-            pool.append((circ, *hit))
+            hit = cache[g] = RankedCircuit(circ, _score(out), out)
         return hit
 
     n_elite = max(1, int(round(ELITE_FRACTION * config.population_size)))
     for _ in range(config.generations):
-        scored = sorted(((evaluate(g)[0], i, g) for i, g in enumerate(pop)),
+        scored = sorted(((evaluate(g).fitness, i, g) for i, g in enumerate(pop)),
                         key=lambda t: (-t[0], t[1]))
-        elites = [_copy(g) for _, _, g in scored[:n_elite]]
 
         def tournament():
             best = None
@@ -246,24 +246,17 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
                     best = pick
             return best[2]
 
-        nxt = elites
+        nxt = [g for _, _, g in scored[:n_elite]]
         while len(nxt) < config.population_size:
             if rng.random() < CROSSOVER_RATE:
                 child = _crossover(tournament(), tournament(), rng, n_pairs)
             else:
-                child = _copy(tournament())
+                child = tournament()
             nxt.append(_mutate(child, rng, n_pairs, MUTATION_RATE))
         pop = nxt
 
-    if archive:
-        for g in pop:
-            evaluate(g)  # make sure the last generation is pooled
-        ranked = sorted(pool, key=lambda t: -t[1])
-        return [RankedCircuit(c, f, out) for c, f, out in ranked]
-    final = sorted(((evaluate(g), i, g) for i, g in enumerate(pop)),
-                   key=lambda t: (-t[0][0], t[1]))
-    return [RankedCircuit(_genome_to_circuit(g, n_pairs), hit[0], hit[1])
-            for hit, _, g in final]
+    final = [evaluate(g) for g in pop]  # also caches the last generation
+    return sorted(cache.values() if archive else final, key=lambda r: -r.fitness)
 
 
 @dataclass(frozen=True)

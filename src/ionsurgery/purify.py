@@ -81,9 +81,9 @@ _OPS = {
     "measure": (Measure, ("side", "pair", "basis", "record_label")),
 }
 _RULE_KEYS = ("label_i", "label_j", "relation")
-# the keys `_field` type-checks; side, basis and relation are checked by value
-_INT_KEYS = ("n_pairs", "control_pair", "target_pair", "pair", "index")
-_STR_KEYS = ("record_label", "label_i", "label_j")
+# the fields `_check_types` type-checks; `_check` checks the rest by value
+_INT_KEYS = frozenset(("n_pairs", "control_pair", "target_pair", "pair", "index"))
+_STR_KEYS = frozenset(("record_label", "label_i", "label_j"))
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class PurificationCircuit:
         self._check()
 
     def _check(self):
+        _check_types((self, *self.ops, *self.accept))
         if not (MIN_PAIRS <= self.n_pairs <= MAX_PAIRS):
             raise ValueError(f"n_pairs must be {MIN_PAIRS}..{MAX_PAIRS}")
         measured = set()
@@ -166,14 +167,14 @@ class PurificationCircuit:
                 raise ValueError(f"unknown op kind {kind!r}")
             op_type, keys = _OPS[kind]
             _check_keys(o, ("kind", *keys), f"{kind} op")
-            fields = {k: _field(o, k) for k in keys}
+            fields = {k: o[k] for k in keys}
             ops.append(op_type(kind, **fields) if op_type is TwoQubitGate
                        else op_type(**fields))
         accept = []
         for a in _list_field(d, "accept", []):
             _check_keys(a, _RULE_KEYS, "accept rule")
-            accept.append(AcceptRule(**{k: _field(a, k) for k in _RULE_KEYS}))
-        return cls(_field(d, "n_pairs"), tuple(ops), tuple(accept))
+            accept.append(AcceptRule(**{k: a[k] for k in _RULE_KEYS}))
+        return cls(d["n_pairs"], tuple(ops), tuple(accept))
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -198,14 +199,15 @@ def _check_keys(obj: dict, known, what: str, optional=frozenset()) -> None:
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _field(obj: dict, key: str):
-    """obj[key], type-checked when it is a count or a label; _check checks the rest."""
-    v = obj[key]
-    if key in _INT_KEYS and (isinstance(v, bool) or not isinstance(v, int)):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    if key in _STR_KEYS and not isinstance(v, str):
-        raise ValueError(f"{key} must be a string, got {v!r}")
-    return v
+def _check_types(objs) -> None:
+    """Counts and pair indices must be ints (not bools), labels strings."""
+    for obj in objs:
+        # an object without fields is no op; _check rejects it by type
+        for key, v in getattr(obj, "__dict__", {}).items():
+            if key in _INT_KEYS and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
+            if key in _STR_KEYS and not isinstance(v, str):
+                raise ValueError(f"{key} must be a string, got {v!r}")
 
 
 def _list_field(obj: dict, key: str, default=None) -> list:

@@ -322,8 +322,13 @@ def device_from_dict(raw: dict) -> DeviceParams:
     ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
     with ref.open() as fh:
         merged = {**json.load(fh), **raw}
-    return DeviceParams(**{field: _device_value(key, merged[key])
-                           for key, field in _DEVICE_KEYS.items()})
+    values = {field: _device_value(key, merged[key]) for key, field in _DEVICE_KEYS.items()}
+    try:
+        return DeviceParams(**values)
+    except ValueError as exc:  # DeviceParams names a field; name the file key
+        field, rest = str(exc).split(" ", 1)
+        key = next(k for k, f in _DEVICE_KEYS.items() if f == field)
+        raise ValueError(f"{key} {rest}") from None
 
 
 def _device_value(key: str, v):

@@ -72,9 +72,9 @@ def cases():
     rng = np.random.default_rng(SEED)
     for i in range(N_RANDOM):
         n_pairs = 3 if i % 2 == 0 else 4
-        g = _random_genome(rng, n_pairs, 24)
+        g = _random_genome(rng, n_pairs)
         for _ in range(3):
-            g = _mutate(g, rng, n_pairs, 24, 0.3)
+            g = _mutate(g, rng, n_pairs, 0.3)
         yield (f"random_{i:03d}", _genome_to_circuit(g, n_pairs),
                list(INPUTS)[(i // 2) % 2], list(NOISES)[i % 3])
 

@@ -259,6 +259,7 @@ def test_broken_env_device_is_a_usage_error(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["min-ions", "--distance", "3", "--paradigm", "t1000us"])
     assert exc.value.code == 2
+    assert f"error: bad device file {str(bad)!r}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["min-ions", "--paradigm", "t1000us"],
@@ -266,7 +267,8 @@ def test_broken_env_device_is_a_usage_error(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("device", [{"R": float("inf")}, {"R": float("nan")},
                                     {"N_p": 3.5}, {"N_p": "3"},
                                     {"p_c": True}, {"R": "1e6"}, {"F_ideal": None},
-                                    [], 3, None, "x"])
+                                    [], 3, None, "x",
+                                    {"p_c": 0}, {"P_pair": 1}, {"N_p": 1}])
 def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
         capsys, tmp_path, command, device):
     path = tmp_path / "dev.json"
@@ -274,6 +276,11 @@ def test_non_finite_rate_or_non_integer_pair_count_is_a_usage_error(
     with pytest.raises(SystemExit) as exc:
         main([*command, "--distance", "3", "--device", str(path)])
     assert exc.value.code == 2
+    # the error names the file, and a rejected value by the file's own key
+    err = capsys.readouterr().err
+    assert f"error: bad device file {str(path)!r}: " in err
+    if isinstance(device, dict):
+        assert f": {next(iter(device))} must " in err
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +368,15 @@ def test_circuit_file_with_unknown_key_or_float_count_exits_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["purify", "simulate", "--circuit", str(path)])
         assert exc.value.code == 2
+        assert f"error: bad circuit file {str(path)!r}: " in capsys.readouterr().err
+    # over a directory, the error names the one bad file among good ones
+    isg.save_circuit(isg.bbpssw_circuit(), tmp_path / "b.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["purify", "benchmark", "--circuits", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: bad circuit file {str(tmp_path / 'c.json')!r}: " in err
+    assert "b.json" not in err
 
 
 def test_benchmark_empty_directory_exits_2(capsys, tmp_path):

@@ -34,6 +34,10 @@ def test_pair_count_bounds():
     with pytest.raises(ValueError):
         PurificationCircuit(n_pairs=6, ops=(), accept=())
     assert PurificationCircuit(n_pairs=5, ops=(), accept=()).n_pairs == 5
+    # the constructor type-checks the count, as from_dict does
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="n_pairs must be an integer"):
+            PurificationCircuit(n_pairs=bad, ops=(), accept=())
 
 
 def test_output_pair_is_never_measured():
@@ -89,10 +93,25 @@ def test_gate_and_measure_field_validation():
         SingleQubitClifford(pair=0, side="A", index=24),
         SingleQubitClifford(pair=0, side="A", index=-1),
         Measure(pair=1, side="A", basis="W", record_label="c1"),
+        # pair indices and Clifford indices are ints, not floats or bools;
+        # record labels are strings
+        TwoQubitGate(kind="cnot", side="A", control_pair=True, target_pair=0),
+        TwoQubitGate(kind="cz", side="B", control_pair=0, target_pair=1.0),
+        SingleQubitClifford(pair=0, side="A", index=1.5),
+        SingleQubitClifford(pair=0, side="A", index=True),
+        SingleQubitClifford(pair="0", side="A", index=3),
+        Measure(pair=1.0, side="A", basis="Z", record_label="c1"),
+        Measure(pair=1, side="A", basis="Z", record_label=1),
+        Measure(pair=1, side="A", basis="Z", record_label=["c1"]),
     ]
     for op in bad_ops:
         with pytest.raises(ValueError):
             two_pair_circuit([op], [])
+    measured = [Measure(pair=1, side="A", basis="Z", record_label="c1"),
+                Measure(pair=1, side="B", basis="Z", record_label="c2")]
+    for bad in (None, 1, ["c1"]):
+        with pytest.raises(ValueError, match="label_i must be a string"):
+            two_pair_circuit(measured, [AcceptRule(bad, "c2", "coincident")])
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +348,15 @@ def test_fixture_noise_floor_on_perfect_inputs(fixture_circuit_path):
 # ---------------------------------------------------------------------------
 # pinned outputs and branch pruning
 
+SNAPSHOT = Path(__file__).parent / "data" / "simulate_snapshot.json"
+
+
 def test_simulate_matches_pinned_snapshot_bit_for_bit():
     # recorded by tests/record_simulate_snapshot.py before the simulator's
     # fast kernels and branch pruning; every output must match exactly
     from record_simulate_snapshot import outputs
 
-    records = json.loads((Path(__file__).parent / "data" / "simulate_snapshot.json").read_text())
+    records = json.loads(SNAPSHOT.read_text())
     assert len(records) == 140
     mismatched = []
     for rec in records:
@@ -342,6 +364,16 @@ def test_simulate_matches_pinned_snapshot_bit_for_bit():
         if any(got[k] != rec[k] for k in got):
             mismatched.append(rec["name"])
     assert mismatched == []
+
+
+def test_snapshot_recorder_yields_the_stored_cases():
+    # no simulation: this pins the recorder's cases, and so the
+    # _random_genome/_mutate streams behind its 120 random circuits
+    from record_simulate_snapshot import cases
+
+    records = json.loads(SNAPSHOT.read_text())
+    got = [(name, circ.to_dict(), inp, noise) for name, circ, inp, noise in cases()]
+    assert got == [(r["name"], r["circuit"], r["input"], r["noise"]) for r in records]
 
 
 FRESH_SIMULATE = """

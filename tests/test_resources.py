@@ -55,6 +55,9 @@ def test_device_dict_round_trip(tmp_path):
     assert device_from_dict({"R": 2000000}) == replace(DEV, pulse_rate_hz=2e6)
     with pytest.raises(ValueError):
         device_from_dict({"p_c": 0.5, "bogus": 1})
+    # a rejected value is named by its key, not by its DeviceParams field
+    with pytest.raises(ValueError, match=r"^p_c must lie in \(0,1\]"):
+        device_from_dict({"p_c": 0})
 
 
 @pytest.mark.parametrize("raw", [{"N_p": 3.5}, {"N_p": 3.0}, {"N_p": "3"},
