@@ -311,22 +311,15 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     branches = [(state, {})]  # unnormalized: trace == path probability
     written = set()  # record labels measured so far
     pending = list(circuit.accept)  # rules still waiting for one of their records
+    # the two-pass gate kernels' scratch at the current width; it belongs to
+    # this call, and a measurement, the only op that changes the width, frees it
+    work = None
 
     for op in circuit.ops:
         m = len(alive)
         off = 0 if op.side == "A" else n_pairs
-        if isinstance(op, TwoQubitGate):
-            pos = [alive.index(off + op.control_pair), alive.index(off + op.target_pair)]
-            gate = _cnot_raw if op.kind == "cnot" else _cz_raw
-            branches = [(_depolarize_raw(gate(s, *pos, m), noise.p2, pos, m), rec)
-                        for s, rec in branches]
-        elif isinstance(op, SingleQubitClifford):
-            pos = alive.index(off + op.pair)
-            u = clifford_unitary(op.index)
-            branches = [(_depolarize_raw(_apply_unitary_raw(s, u, pos, m),
-                                         noise.p1, [pos], m), rec)
-                        for s, rec in branches]
-        else:  # Measure
+        if isinstance(op, Measure):
+            work = None
             q = off + op.pair
             pos = alive.index(q)
             label = op.record_label
@@ -346,6 +339,27 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
                     nxt.append(((1 - pm) * s1 + pm * s0, rec1))
             branches = nxt
             alive.remove(q)
+            continue
+        if isinstance(op, TwoQubitGate):
+            pos = [alive.index(off + op.control_pair), alive.index(off + op.target_pair)]
+            gate = _cnot_raw if op.kind == "cnot" else _cz_raw
+            args, p = pos, noise.p2
+        else:
+            pos = [alive.index(off + op.pair)]
+            gate, args, p = _apply_unitary_raw, (clifford_unitary(op.index), *pos), noise.p1
+        nxt = []
+        for s, rec in branches:
+            # the gate and its noise run in place on this call's own arrays;
+            # on the read-only joint state the gate writes a new one
+            out = np.empty_like(s) if s is state else s
+            if gate is _cz_raw:
+                gate(s, *args, m, out=out)
+            else:
+                if work is None:
+                    work = np.empty((2, *s.shape), dtype=complex)
+                gate(s, *args, m, out=out, work=work)
+            nxt.append((_depolarize_raw(out, p, pos, m, out=out), rec))
+        branches = nxt
 
     # alive only loses entries, so A0 still precedes B0
     m = len(alive)

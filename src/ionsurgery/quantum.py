@@ -2,8 +2,18 @@
 
 Convention: computational basis |q0 q1 ... q_{n-1}> with q0 the MOST
 significant bit, row-major entries, complex128 throughout.  The `_raw`
-kernels are pure functions on bare ndarrays and are what `purify.simulate`
-runs on; DensityMatrix instances are immutable after construction.
+kernels are functions on bare ndarrays and are what `purify.simulate` runs
+on; DensityMatrix instances are immutable after construction.
+
+The gate and depolarizing kernels follow NumPy's `out=` idiom.  With
+`out=None` they allocate their result; otherwise they write it into `out`,
+a C-contiguous complex128 array of rho's shape, and return it.  `out` may be
+rho itself: each kernel has read all of rho that it needs before it writes
+`out`.  The two-pass kernels `_apply_unitary_raw` and `_cnot_raw` also take
+`work`, a C-contiguous complex128 array of shape (2, *rho.shape) that they
+overwrite with their intermediates; it may not share memory with rho or
+`out`, and is allocated when None.  Every path gives the same bits as the
+allocating call, and none writes into rho unless it is `out`.
 """
 from __future__ import annotations
 
@@ -130,24 +140,39 @@ DEVICE_NOISE = NoiseModel(1e-5, 5e-5, 1e-5)
 # ---------------------------------------------------------------------------
 # raw ndarray kernels (shared with the circuit simulator's hot loop)
 
-def _apply_unitary_raw(rho: np.ndarray, u: np.ndarray, target: int, n: int) -> np.ndarray:
+def _apply_unitary_raw(rho: np.ndarray, u: np.ndarray, target: int, n: int,
+                       out=None, work=None) -> np.ndarray:
     """U rho U^dag with the 2x2 U acting on qubit `target` of an n-qubit array.
 
     Makes the two `np.dot(u, (2, N))` calls that contracting with
     `np.tensordot` makes, on the same contiguous operands, so the result is
     the same bit for bit; the operands are built from (lo, 2, hi) views of
-    each side instead of 2n-axis transposes.
+    each side instead of 2n-axis transposes.  Each operand goes to work[0]
+    and each product to work[1].
     """
     lo, hi = 2 ** target, 2 ** (n - 1 - target)
     dim = 2 * lo * hi
+    if work is None:
+        work = np.empty((2, dim, dim), dtype=complex)
+    ops, t = work[0].reshape(2, -1), work[1].reshape(2, -1)
     # ket: t[a, (l, h, bra)] = sum_k u[a, k] rho[(l, k, h), bra]
-    t = np.dot(u, rho.reshape(lo, 2, hi * dim).transpose(1, 0, 2).reshape(2, -1))
+    ket = rho.reshape(lo, 2, hi * dim).transpose(1, 0, 2)
+    if lo == 1:
+        ket = ket.reshape(2, -1)  # a contiguous view of rho
+    else:
+        np.copyto(ops.reshape(ket.shape), ket)
+        ket = ops
+    np.dot(u, ket, out=t)
     # bra: bring the target's bra bit b of t[a, l, h, lb, b, hb] to the front
-    t = t.reshape(2, lo, hi, lo, 2, hi).transpose(4, 1, 0, 2, 3, 5).reshape(2, -1)
-    t = np.dot(np.conj(u), t)
+    np.copyto(ops.reshape(2, lo, 2, hi, lo, hi),
+              t.reshape(2, lo, hi, lo, 2, hi).transpose(4, 1, 0, 2, 3, 5))
+    np.dot(np.conj(u), ops, out=t)
     # t[b, l, a, h, lb, hb] -> rows (l, a, h), columns (lb, b, hb)
-    t = t.reshape(2, lo, 2, hi, lo, hi).transpose(1, 2, 3, 4, 0, 5)
-    return np.ascontiguousarray(t.reshape(dim, dim))
+    if out is None:
+        out = np.empty((dim, dim), dtype=complex)
+    np.copyto(out.reshape(lo, 2, hi, lo, 2, hi),
+              t.reshape(2, lo, 2, hi, lo, hi).transpose(1, 2, 3, 4, 0, 5))
+    return out
 
 
 def _permute_raw(rho: np.ndarray, perm: list, n: int) -> np.ndarray:
@@ -173,7 +198,8 @@ def _partial_trace_raw(rho: np.ndarray, keep: list, n: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2 ** m, 2 ** m))
 
 
-def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndarray:
+def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
+                    out=None) -> np.ndarray:
     """Uniform mixture over non-identity Paulis on targets, weight p.
 
     Closed form: the full 4^k-term Pauli average equals replacement by the
@@ -181,10 +207,15 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndar
     mixture is (1-lam) rho + lam * (Tr_t rho (x) I/2^k) with
     lam = p * d^2/(d^2-1), d = 2^k.  The second term is nonzero only on the
     2^k blocks where the targets' ket and bra bits agree, so it is added into
-    those blocks of (1-lam) rho instead of being built at full size.
+    those blocks of (1-lam) rho instead of being built at full size.  The
+    reduced state is summed into fresh arrays before rho is scaled into
+    `out`.  With p == 0 and `out=None`, rho itself is returned.
     """
     if p == 0.0:
-        return rho
+        if out is None:
+            return rho
+        np.copyto(out, rho)
+        return out
     k = len(targets)
     dim = 2 ** k
     lam = p * dim * dim / (dim * dim - 1)
@@ -198,7 +229,7 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int) -> np.ndar
         while len(red) > 1:
             red = [a + b for a, b in zip(red[::2], red[1::2])]
         red = red[0]
-    out = (1 - lam) * rho
+    out = np.multiply(1 - lam, rho, out=out)
     blocks = out.reshape(shape)
     mixed = lam * (red / dim)
     for idx in diag:
@@ -274,28 +305,49 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _cz_signs(n: int, control: int, target: int) -> np.ndarray:
+def _cz_plan(n: int, control: int, target: int):
+    """Shape splitting rho's rows around the two qubits, (l, 2, m, 2, h, 2^n),
+    and the rows of the outer sign mask that it broadcasts against, indexed
+    by the two qubits' row bits: the column signs, negated when both are 1.
+    They are stored complex, so no product casts them."""
+    a, b = sorted((control, target))
     idx = np.arange(2 ** n)
-    both = (idx >> (n - 1 - control)) & (idx >> (n - 1 - target)) & 1
-    signs = 1.0 - 2.0 * both
-    signs.setflags(write=False)
-    return signs
+    signs = 1.0 - 2.0 * ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1)
+    rows = np.empty((2, 1, 2, 1, 2 ** n), dtype=complex)
+    rows[...] = signs
+    # negate before the cast: -(1+0j) would carry a -0.0 imaginary part
+    rows[1, 0, 1, 0] = -signs
+    rows.setflags(write=False)
+    return (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - 1 - b), 2 ** n), rows
 
 
-def _cnot_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    """CNOT rho CNOT as a row and column permutation.
+def _cnot_raw(rho: np.ndarray, control: int, target: int, n: int,
+              out=None, work=None) -> np.ndarray:
+    """CNOT rho CNOT as a row and column permutation, the rows into work[0].
 
-    Equal bit for bit to `_apply_unitary_raw(rho, CNOT, [control, target], n)`:
-    that contraction only multiplies by 0 and 1.
+    Equal bit for bit to contracting with the 4x4 CNOT: that contraction
+    only multiplies by 0 and 1.
     """
     perm = _cnot_perm(n, control, target)
-    return rho.take(perm, 0).take(perm, 1)
+    # every index is in range: "clip" only skips the check, and with it the
+    # extra copy that take makes into an `out` under mode="raise"
+    rows = rho.take(perm, 0, out=None if work is None else work[0], mode="clip")
+    return rows.take(perm, 1, out=out, mode="clip")
 
 
-def _cz_raw(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    """CZ rho CZ as an outer +-1 sign mask; bitwise equal to `_apply_unitary_raw`."""
-    signs = _cz_signs(n, control, target)
-    return rho * np.multiply.outer(signs, signs)
+def _cz_raw(rho: np.ndarray, control: int, target: int, n: int, out=None) -> np.ndarray:
+    """CZ rho CZ: each entry times the +-1 sign of its row times that of its column.
+
+    Each row is multiplied by its cached row of the outer sign mask, so every
+    entry meets the same complex product, by +-1 + 0j, as in
+    `rho * np.multiply.outer(signs, signs)`, which casts its float mask; the
+    bits agree, the sign of a zero included, and no full-size mask is built.
+    """
+    shape, rows = _cz_plan(n, control, target)
+    if out is None:
+        out = np.empty(rho.shape, dtype=complex)
+    np.multiply(rho.reshape(shape), rows, out=out.reshape(shape))
+    return out
 
 
 # ---------------------------------------------------------------------------

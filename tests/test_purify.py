@@ -1,9 +1,12 @@
 """Purification circuits: validation, JSON round-trips, exact protocol algebra."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 from dataclasses import replace
 
@@ -462,3 +465,76 @@ def test_rejected_branches_are_pruned_as_soon_as_a_rule_completes(monkeypatch):
     assert calls == [8] + [7] * 2 + [6] * 2 + [5] * 4 + [4] * 4 + [3] * 8
     assert 0 < out.success_probability < 1
 
+
+# ---------------------------------------------------------------------------
+# the hot loop's memory: pages reused across calls, nothing shared between them
+
+def warm_simulate(name: str):
+    circuit = isg.load_circuit(CIRCUITS / f"{name}.json")
+
+    def run():
+        return isg.simulate(circuit, isg.stephenson_pair(), isg.DEVICE_NOISE)
+
+    run()  # builds and caches the joint input state
+    return run
+
+
+def test_warm_calls_fault_in_no_fresh_pages():
+    resource = pytest.importorskip("resource")
+    run = warm_simulate("ga_4to1")
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        run()
+    # with every kernel allocating its result, ten calls took ~13,000
+    # (x86-64 Linux, glibc 2.36, NumPy 2.4)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+# tracemalloc peak of one warm call with every kernel allocating its result
+ALLOCATING_PEAK_MIB = {"ga_4to1": 3.25, "ga_5to1": 56.25}
+
+
+@pytest.mark.parametrize("name", ["ga_4to1", pytest.param("ga_5to1", marks=pytest.mark.slow)])
+def test_peak_memory_of_a_call_stays_within_five_percent(name):
+    run = warm_simulate(name)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * ALLOCATING_PEAK_MIB[name] * 2 ** 20
+
+
+def fingerprint(out):
+    return (out.output_fidelity.hex(), out.success_probability.hex(),
+            hashlib.sha256(out.output_state.entries.tobytes()).hexdigest())
+
+
+def test_concurrent_calls_give_the_serial_bytes():
+    # simulate's work arrays belong to the call: two threads, each running
+    # both circuits in the opposite order, overlap at equal and unequal widths
+    runs = [warm_simulate(name) for name in ("ga_3to1", "ga_4to1")]
+    serial = [fingerprint(run()) for run in runs]
+    start = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def worker(i):
+        for _ in range(20):
+            start.wait()
+            for j in (i, 1 - i):
+                got[i].append(fingerprint(runs[j]()))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial * 20, serial[::-1] * 20]

@@ -384,6 +384,70 @@ def test_one_target_kernel_matches_tensordot(n):
 
 
 # ---------------------------------------------------------------------------
+# out= and in-place paths: the bits of the allocating call
+
+def buffered_calls(kernel, rho, args, two_pass, out, work, mine):
+    """`kernel` on rho through each out= path: into `out` from rho and from
+    `mine`, a writable copy of rho that must come back unchanged, then in
+    place on `mine`.  `out` and `work` are refilled with NaN before each
+    call, so that a read before a write shows."""
+    def call(src, dst):
+        extra = {}
+        if two_pass:
+            work.fill(np.nan)
+            extra["work"] = work
+        return kernel(src, *args, out=dst, **extra)
+
+    out.fill(np.nan)
+    yield call(rho, out)
+    np.copyto(mine, rho)
+    out.fill(np.nan)
+    yield call(mine, out)
+    assert same_bits(mine, rho)
+    yield call(mine, mine)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                                               for n in (9, 10))])
+def test_buffered_kernels_match_the_allocating_call_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    rho = with_signed_zeros(rng, random_psd(rng, n))
+    rho.setflags(write=False)  # read-only, as the simulator's joint state is
+    before = rho.copy()
+    proj = (I2 + Z) / 2  # `_project_raw` runs the one-target kernel on projectors
+    calls = []
+    for q in range(n):
+        calls += [(Q._apply_unitary_raw, (u, q, n), True) for u in (Q.HADAMARD, Q.S_GATE, proj)]
+        calls += [(Q._depolarize_raw, (p, [q], n), False) for p in (0.0, 1e-5, 0.3)]
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                calls += [(Q._cnot_raw, (c, t, n), True), (Q._cz_raw, (c, t, n), False),
+                          (Q._depolarize_raw, (5e-5, [c, t], n), False)]
+    out, work, mine = np.empty_like(rho), np.empty((2, *rho.shape), complex), rho.copy()
+    for kernel, args, two_pass in calls:
+        want = kernel(rho, *args)
+        for got in buffered_calls(kernel, rho, args, two_pass, out, work, mine):
+            assert same_bits(got, want), (kernel.__name__, args)
+    assert same_bits(rho, before)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cz_matches_the_outer_sign_mask_bit_for_bit(n):
+    # the mask it no longer builds: float +-1 entries that the product casts
+    # to +-1 + 0j, which can flip the sign of a zero in rho
+    rng = np.random.default_rng(400 + n)
+    rho = with_signed_zeros(rng, random_psd(rng, n))
+    idx = np.arange(2 ** n)
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                signs = 1.0 - 2.0 * ((idx >> (n - 1 - c)) & (idx >> (n - 1 - t)) & 1)
+                assert same_bits(Q._cz_raw(rho, c, t, n),
+                                 rho * np.multiply.outer(signs, signs))
+
+
+# ---------------------------------------------------------------------------
 # partial trace and fidelity
 
 def test_partial_trace_recovers_product_factors():
