@@ -45,6 +45,7 @@ from .resources import (
 
 PARADIGMS = {"t1000us": 1e-3, "t100us": 1e-4, "t10us": 1e-5}  # seconds
 NOISE = {"paper": DEVICE_NOISE, "none": IDEAL_NOISE}
+TABLE_CHUNK = 1024  # CSV rows per write
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +124,33 @@ def _parse_input(text: str):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit(text: str, path) -> None:
+def _emit(chunks, path) -> None:
+    """Write an iterable of text chunks to stdout, or to the file `path`.
+
+    Callers solve every row first, so a rejected value raises before the
+    file is opened or the first byte reaches stdout."""
     if not path:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
 
 
-def _table(rows: list, columns: dict, fmt: str, path) -> None:
-    """rows: one dict of native values per row, printed whole as JSON; the
-    CSV has one column per `columns` key, formatted by its value."""
+def _table(rows, columns: dict, fmt: str, path) -> None:
+    """rows: any iterable of dicts of native values, printed whole as JSON.
+    The CSV has one column per `columns` key, formatted by its value; its
+    rows are written TABLE_CHUNK at a time as they are formatted."""
     if fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", path)
+        _emit((json.dumps(list(rows), indent=2) + "\n",), path)
         return
-    buf = [",".join(columns)]
-    for r in rows:
-        buf.append(",".join(f(r[k]) for k, f in columns.items()))
-    _emit("\n".join(buf) + "\n", path)
+    lines = (",".join(f(r[k]) for k, f in columns.items()) + "\n" for r in rows)
+    chunks = iter(lambda: "".join(itertools.islice(lines, TABLE_CHUNK)), "")
+    _emit(itertools.chain((",".join(columns) + "\n",), chunks), path)
 
 
 def _fmt_bool(v: bool) -> str:
@@ -154,9 +162,9 @@ def _fmt_rate(r: float) -> str:
     return "0.0" if r == 0 else f"{r:.10g}"
 
 
-def _strict_exit(args, rows: list) -> int:
-    all_infeasible = all(not r["feasible"] for r in rows)
-    return 1 if args.strict and all_infeasible else 0
+def _strict_exit(args, feasible) -> int:
+    """feasible: one flag per result row."""
+    return 1 if args.strict and not any(feasible) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ def _cmd_min_ions(args) -> int:
                          "min_ions": res.answer, "feasible": res.feasible})
     _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "min_ions": str,
                   "feasible": _fmt_bool}, args.format, args.output)
-    return _strict_exit(args, rows)
+    return _strict_exit(args, (r["feasible"] for r in rows))
 
 
 def _cmd_rate(args) -> int:
@@ -191,7 +199,7 @@ def _cmd_rate(args) -> int:
                          "feasible": res.feasible})
     _table(rows, {"distance": str, "n_ions": str, "rate_hz": _fmt_rate},
            args.format, args.output)
-    return _strict_exit(args, rows)
+    return _strict_exit(args, (r["feasible"] for r in rows))
 
 
 def _cmd_sweep(args) -> int:
@@ -203,14 +211,14 @@ def _cmd_sweep(args) -> int:
     # range, also the nan that a negative or infinite endpoint gives here
     with np.errstate(invalid="ignore"):
         grid = np.geomspace(args.pc_from, args.pc_to, args.points).tolist()
-    rows = [{"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
+    cells = sweep_coupling(args.distances, args.cycle_times_us, grid, dev,
+                           paper_compat=args.paper_compat)
+    rows = ({"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
              "min_ions": answer, "feasible": feasible}
-            for d, t, pc, answer, feasible in sweep_coupling(
-                args.distances, args.cycle_times_us, grid, dev,
-                paper_compat=args.paper_compat)]
+            for d, t, pc, answer, feasible in cells)
     _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "p_c": "{:.9g}".format,
                   "min_ions": str}, args.format, args.output)
-    return _strict_exit(args, rows)
+    return _strict_exit(args, (feasible for *_, feasible in cells))
 
 
 def _cmd_purify_simulate(args) -> int:
@@ -224,7 +232,7 @@ def _cmd_purify_simulate(args) -> int:
         "success_probability": out.success_probability,
         "output_fidelity": out.output_fidelity,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit((json.dumps(report, indent=2) + "\n",), args.output)
     return 0
 
 
@@ -251,7 +259,7 @@ def _cmd_purify_search(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from None
         report["circuit_path"] = str(args.circuit_out)
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit((json.dumps(report, indent=2) + "\n",), args.output)
     return 0
 
 
@@ -315,7 +323,7 @@ def _cmd_validate(args) -> int:
                  f"empirical_hi={hi if hi is not None else 'open'} "
                  f"{'PASS' if good else 'FAIL'}")
     lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(("\n".join(lines) + "\n",), args.output)
     return 1 if (args.strict and not ok) else 0
 
 

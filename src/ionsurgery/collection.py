@@ -8,8 +8,11 @@ are independent of chunking or execution order for a fixed seed.
 
 The draws are exactly those of NumPy's `Generator.geometric`.  For p < 1/3 it
 maps one standard exponential E to the round ceil(E / c), c = -log1p(-p), so
-the exponentials are drawn directly, BLOCK_ROWS trials at a time into one
-reused buffer (the generator fills in C order, so the stream is unchanged).
+the exponentials are drawn directly into one reused buffer, a block of whole
+trials at a time.  A block holds max(1, BLOCK_DRAWS // n_ions) trials, at most
+CHUNK, so the buffer holds at most BLOCK_DRAWS doubles unless one trial alone
+needs more; the generator fills it in C order, so the stream does not depend
+on the block size.
 A count compares E with the largest double whose round is <= A, and the
 k-th success maps the k-th smallest E, since the map is monotone.  For
 p >= 1/3 NumPy searches one uniform draw instead, and the same blocked loop
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHUNK = 16384      # trials per split Philox stream
-BLOCK_ROWS = 512   # trials per block of draws; divides CHUNK
+BLOCK_DRAWS = 2 ** 16  # draws per block of whole trials (512 KiB of float64)
 # NumPy's Generator.geometric inverts one standard exponential E below this p,
 # as ceil(-E / log1p(-p)), and searches one uniform draw at or above it
 GEOMETRIC_SEARCH_P = 1 / 3
@@ -84,22 +87,24 @@ class CollectionResult:
 def _first_success_draws(n_ions: int, p_entangle: float, trials: int, seed: int):
     """(scale, blocks): draws x whose first-success round is ceil(x / scale).
 
-    `blocks` yields (trial slice, draws) in stream order, at most BLOCK_ROWS
-    trials at a time.  Below GEOMETRIC_SEARCH_P the draws are the standard
-    exponentials behind NumPy's geometric inversion, filled into one reused
-    buffer; otherwise they are NumPy's geometric draws themselves (scale 1).
+    `blocks` yields (trial slice, draws) in stream order, at most
+    max(1, BLOCK_DRAWS // n_ions) trials at a time.  Below GEOMETRIC_SEARCH_P
+    the draws are the standard exponentials behind NumPy's geometric
+    inversion, filled into one reused buffer; otherwise they are NumPy's
+    geometric draws themselves (scale 1).
     """
     search = p_entangle >= GEOMETRIC_SEARCH_P
     scale = 1.0 if search else -math.log1p(-p_entangle)
+    block = min(max(BLOCK_DRAWS // n_ions, 1), CHUNK)
 
     def blocks():
-        buf = None if search else np.empty((min(BLOCK_ROWS, trials), n_ions))
+        buf = None if search else np.empty((min(block, trials), n_ions))
         children = np.random.SeedSequence(seed).spawn(max(-(-trials // CHUNK), 1))
         for i, child in enumerate(children):
             rng = np.random.Generator(np.random.Philox(child))
             end = min((i + 1) * CHUNK, trials)
-            for start in range(i * CHUNK, end, BLOCK_ROWS):
-                rows = min(BLOCK_ROWS, end - start)
+            for start in range(i * CHUNK, end, block):
+                rows = min(block, end - start)
                 if search:
                     draws = rng.geometric(p_entangle, size=(rows, n_ions))
                 else:
@@ -162,12 +167,28 @@ def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
 
 
 def _wilson_bounds(successes, trials: int, z: float):
-    """Wilson score bounds (lower, upper), clipped to [0, 1]; elementwise."""
-    phat = np.asarray(successes) / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+    """Wilson score bounds (lower, upper), clipped to [0, 1]; elementwise.
+
+    Each step is the ufunc of the textbook formula, run in place on three
+    arrays the shape of `successes`, so the bits are the formula's and no
+    chain of full-size temporaries is built; 0-d arrays serve a scalar.
+    """
+    zz = z * z
+    denom = 1 + zz / trials
+    phat = np.true_divide(successes, trials, out=np.empty(np.shape(successes)))
+    half = np.subtract(1, phat, out=np.empty_like(phat))
+    half *= phat
+    half /= trials
+    half += zz / (4 * trials * trials)
+    np.sqrt(half, out=half)
+    np.multiply(z, half, out=half)
+    half /= denom
+    center = phat
+    center += zz / (2 * trials)
+    center /= denom
+    lower = np.subtract(center, half, out=np.empty_like(center))
+    upper = np.add(center, half, out=center)
+    return np.maximum(lower, 0.0, out=lower), np.minimum(upper, 1.0, out=upper)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99):
@@ -197,7 +218,8 @@ def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
     rounds, which makes the empirical frequency exactly monotone in A.
     """
     _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
+    t = _trial_thresholds(n_ions, p_entangle, k_star, trials, seed)
+    t.sort()
     need = int(np.ceil(p_ls * trials))
     need = min(max(need, 1), trials)
     return int(t[need - 1])
@@ -211,10 +233,14 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
     reaches p_ls); hi is the smallest A confidently at or above it.
     """
     _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
+    # the bounds are found and freed before the draws, so the two never
+    # hold memory at the same time
     lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
     c_lo = int(np.searchsorted(upper, p_ls, side="left"))
     c_hi = int(np.searchsorted(lower, p_ls, side="left"))
+    del lower, upper
+    t = _trial_thresholds(n_ions, p_entangle, k_star, trials, seed)
+    t.sort()
     lo = int(t[min(max(c_lo, 1), trials) - 1])
     # hi is open when even a perfect sample cannot certify p_ls at this size
     hi = int(t[c_hi - 1]) if 1 <= c_hi <= trials else None

@@ -225,7 +225,11 @@ def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     p1 = p_onepair(device.p_entangle, budget)
     if p1 <= 0:
         return EstimateResult(k, n_ls, budget, 0, 0.0, False, query.distance)
-    n = int(_ions_needed(np.array([k_star]), np.array([p1]), device.p_ls_confidence)[0])
+    try:
+        n = int(_ions_needed(np.array([k_star]), np.array([p1]),
+                             device.p_ls_confidence)[0])
+    except ValueError as exc:  # only a vanishing p_entangle exhausts the search
+        raise ValueError(f"p_entangle {device.p_entangle!r} is too small: {exc}") from None
     return EstimateResult(k, n_ls, budget, n, device.pulse_rate_hz / budget,
                           True, query.distance)
 
@@ -292,8 +296,11 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     p1 = np.tile([p_onepair(pc, b) for b in budgets for pc in p_c_grid], len(distances))
     feasible = p1 > 0
     answers = np.zeros(p1.size, dtype=np.int64)
-    answers[feasible] = _ions_needed(k_star[feasible], p1[feasible],
-                                     device.p_ls_confidence)
+    try:
+        answers[feasible] = _ions_needed(k_star[feasible], p1[feasible],
+                                         device.p_ls_confidence)
+    except ValueError as exc:  # the smallest p_c fails first
+        raise ValueError(f"p_c_grid value {min(p_c_grid)!r} is too small: {exc}") from None
     cells = itertools.product(distances, cycle_times_s, p_c_grid)
     return [(d, t, pc, int(n), bool(ok))
             for (d, t, pc), n, ok in zip(cells, answers, feasible)]

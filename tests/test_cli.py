@@ -1,6 +1,9 @@
 """Command line front end: table formats, exit codes, device resolution."""
 
+import hashlib
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,6 +136,62 @@ def test_sweep_compat_plateaus_one_higher(capsys):
                           "--pc-to", "1", "--points", "1", "--paper-compat"])
     plateaus = [int(l.split(",")[3]) for l in out.splitlines()[1:]]
     assert plateaus == [46, 91, 136]
+
+
+# ---------------------------------------------------------------------------
+# table bytes
+
+# SHA-256 of stdout, recorded before the CSV writer streamed its rows
+TABLE_PINS = {
+    ("min-ions", "csv"): "f650f472a183ddf05609527785cdad7da0430f2dcb38e1a56dfe3b28f2812c2e",
+    ("min-ions", "json"): "e0ae2689360a135c3011054ec3b5760061fbfded45863e6ac01185c0c25f6de0",
+    ("rate", "csv"): "6cf2e04fcc1bd8c20216ab8f5368036ee9e32b47f8165e9f811c7246546b80be",
+    ("rate", "json"): "512fed2d1c701bfecc5b06e78988c5647ab0521e0c504f757ec6972ba2b12589",
+    ("sweep", "csv"): "a870d71237810c742dda59137e2e21c71351f48a3fa0421e7d3f17361fe86b25",
+    ("sweep", "json"): "b341fd62d790f8c440219a2887866ea72916a7e7201f83fb28f3bdc51d44a8f2",
+    ("purify-benchmark", "csv"):
+        "b3dac2d2350816a987bb069e409e2845237d864131c16350d6450d80908814f0",
+    ("purify-benchmark", "json"):
+        "92274f91a0860ce13c22a1d232628e65a7733781a5dc9aa163bdd845e0b06c63",
+}
+TABLE_ARGV = {
+    "min-ions": ["min-ions", "--distance", "3..13", "--paradigm", "all"],
+    "rate": ["rate", "--distance", "3..13", "--ions", "100,1000,10000"],
+    # 39,600 rows: more than one write chunk
+    "sweep": ["sweep", "--distances", "3..13", "--cycle-times-us", "1000,100,10",
+              "--pc-from", "1e-4", "--pc-to", "1", "--points", "1200", "--paper-compat"],
+    # run from the repository root, so circuit_path reads circuits/<name>.json
+    "purify-benchmark": ["purify", "benchmark", "--circuits", "circuits"],
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(TABLE_PINS))
+def test_table_bytes_match_the_pins_on_stdout_and_in_the_output_file(
+        capsys, tmp_path, monkeypatch, command, fmt):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    argv = [*TABLE_ARGV[command], "--format", fmt]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_PINS[command, fmt]
+    path = tmp_path / f"table.{fmt}"
+    code, echoed = run(capsys, [*argv, "--output", str(path)])
+    assert code == 0 and echoed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_sweep_table_streams_in_bounded_memory(capsys):
+    # the 39,600-row sweep once held its rows three times over (13.9 MiB);
+    # streamed, only sweep_coupling's row list stays (about 5 MiB)
+    argv = [*TABLE_ARGV["sweep"], "--output", os.devnull]
+    assert main(argv) == 0  # loads SciPy and fills caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +394,10 @@ def test_usage_errors_exit_2(capsys, argv):
     (["rate", "--distance", "3", "--ions", "100", "--pc", "1e-21"], "--pc"),
     (["purify", "search", "--seed", "-1"], "--seed"),
     (["validate", "--seed", "-5"], "--seed"),
+    # a coupling so weak that the ion search runs past 2**62
+    (["min-ions", "--distance", "3", "--paradigm", "t1000us", "--pc", "1e-300"], "--pc"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-from", "1e-300",
+      "--pc-to", "1e-300", "--points", "1"], "--pc-from/--pc-to"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     # the library names the field it rejects; the CLI error line names the flag

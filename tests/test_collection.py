@@ -177,6 +177,55 @@ def test_wilson_interval_reference_values():
         wilson_interval(1, 0)
 
 
+def _textbook_wilson(successes, trials, z):
+    phat = np.asarray(successes) / trials
+    denom = 1 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 100, 2000, CHUNK + 100, 100_000])
+@pytest.mark.parametrize("z", [Z99, 1.96, 1.0])
+def test_in_place_wilson_bounds_equal_the_textbook_formula_bit_for_bit(trials, z):
+    from ionsurgery.collection import _wilson_bounds
+
+    counts = np.arange(trials + 1)
+    for got, want in zip(_wilson_bounds(counts, trials, z),
+                         _textbook_wilson(counts, trials, z)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for k in sorted({0, 1, trials // 3, trials}):  # scalars take 0-d arrays
+        want = tuple(float(b) for b in _textbook_wilson(k, trials, z))
+        assert wilson_interval(k, trials, z) == want
+
+
+@pytest.mark.parametrize("p", [2.18e-4, 0.5])
+@pytest.mark.parametrize("n", [1, 9, 1000])
+def test_draws_do_not_depend_on_the_block_size(monkeypatch, n, p):
+    from ionsurgery import collection
+    from ionsurgery.collection import _trial_thresholds
+
+    def outputs():
+        cfg = TrialConfig(n, p, 20, CHUNK + 100, 5)
+        return (simulate_collection(cfg).counts.tolist(),
+                _trial_thresholds(n, p, (n + 1) // 2, 3000, 6).tolist())
+
+    want = outputs()
+    for draws in (1, 7 * n + 3, CHUNK * n + 1):  # one trial, a ragged block, all of a chunk
+        monkeypatch.setattr(collection, "BLOCK_DRAWS", draws)
+        assert outputs() == want
+
+
+@pytest.mark.parametrize("n, trials", [(1, 20000), (45, 2000), (1000, 2000), (2 ** 17, 3)])
+def test_a_block_holds_at_most_block_draws_unless_one_trial_needs_more(n, trials):
+    from ionsurgery.collection import BLOCK_DRAWS, _first_success_draws
+
+    _, blocks = _first_success_draws(n, 2.18e-4, trials, 1)
+    rows = [draws.shape[0] for _, draws in blocks]
+    assert sum(rows) == trials
+    assert max(rows) == min(max(BLOCK_DRAWS // n, 1), CHUNK, trials)
+
+
 def test_z99_is_the_scipy_normal_quantile():
     from scipy.special import ndtri
 

@@ -471,6 +471,15 @@ def test_attempts_required_names_p_entangle_when_the_search_runs_out():
         attempts_required(100, 1e-21, 10, 0.999)
 
 
+def test_ion_searches_name_the_coupling_when_they_run_out():
+    # the messages start with the field, so the CLI names --pc and --pc-from/--pc-to
+    weak = replace(DEV, p_entangle=1e-300)
+    with pytest.raises(ValueError, match=r"^p_entangle 1e-300 is too small: no solution"):
+        min_ions(SurgeryQuery(distance=3, cycle_time_s=1e-3), weak)
+    with pytest.raises(ValueError, match=r"^p_c_grid value 1e-300 is too small: no solution"):
+        sweep_coupling([3], [1e-3], [1e-300, 0.5], DEV)
+
+
 def test_sweep_rejects_bad_cells():
     for args in (([0], [1e-3], [1e-3]), ([3], [float("nan")], [1e-3]),
                  ([3], [1e-3], [0.0]), ([3], [1e-3], [1.5]), ([3], [1e-3], [float("nan")])):
