@@ -45,7 +45,7 @@ from .resources import (
 
 PARADIGMS = {"t1000us": 1e-3, "t100us": 1e-4, "t10us": 1e-5}  # seconds
 NOISE = {"paper": DEVICE_NOISE, "none": IDEAL_NOISE}
-TABLE_CHUNK = 1024  # CSV rows per write
+TABLE_CHUNK = 1024  # table rows per write
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,9 @@ def _parse_input(text: str):
 def _emit(chunks, path) -> None:
     """Write an iterable of text chunks to stdout, or to the file `path`.
 
-    Callers solve every row first, so a rejected value raises before the
-    file is opened or the first byte reaches stdout."""
+    Callers solve every row first (`sweep` by `sweep_coupling`, which
+    returns only once every cell is solved), so a rejected value raises
+    before the file is opened or the first byte reaches stdout."""
     if not path:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -142,15 +143,28 @@ def _emit(chunks, path) -> None:
 
 
 def _table(rows, columns: dict, fmt: str, path) -> None:
-    """rows: any iterable of dicts of native values, printed whole as JSON.
-    The CSV has one column per `columns` key, formatted by its value; its
-    rows are written TABLE_CHUNK at a time as they are formatted."""
+    """rows: any iterable of dicts of native values, formatted and written
+    TABLE_CHUNK at a time.  The CSV has one column per `columns` key,
+    formatted by its value; the JSON is json.dumps(list(rows), indent=2)."""
+    rows = iter(rows)
+    batches = iter(lambda: list(itertools.islice(rows, TABLE_CHUNK)), [])
     if fmt == "json":
-        _emit((json.dumps(list(rows), indent=2) + "\n",), path)
+        _emit(_json_list(batches), path)
         return
-    lines = (",".join(f(r[k]) for k, f in columns.items()) + "\n" for r in rows)
-    chunks = iter(lambda: "".join(itertools.islice(lines, TABLE_CHUNK)), "")
-    _emit(itertools.chain((",".join(columns) + "\n",), chunks), path)
+    lines = ("".join(",".join(f(r[k]) for k, f in columns.items()) + "\n" for r in b)
+             for b in batches)
+    _emit(itertools.chain((",".join(columns) + "\n",), lines), path)
+
+
+def _json_list(batches):
+    """The text of json.dumps(rows, indent=2) + "\n", rows being the batches
+    end to end, one batch at a time: each batch's dump without its "[" and
+    "\n]", joined by ","."""
+    sep = "["
+    for batch in batches:
+        yield sep + json.dumps(batch, indent=2)[1:-2]
+        sep = ","
+    yield "[]\n" if sep == "[" else "\n]\n"
 
 
 def _fmt_bool(v: bool) -> str:
@@ -163,7 +177,7 @@ def _fmt_rate(r: float) -> str:
 
 
 def _strict_exit(args, feasible) -> int:
-    """feasible: one flag per result row."""
+    """feasible: flags whose any() is True when some result row is feasible."""
     return 1 if args.strict and not any(feasible) else 0
 
 
@@ -213,12 +227,18 @@ def _cmd_sweep(args) -> int:
         grid = np.geomspace(args.pc_from, args.pc_to, args.points).tolist()
     cells = sweep_coupling(args.distances, args.cycle_times_us, grid, dev,
                            paper_compat=args.paper_compat)
-    rows = ({"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
-             "min_ions": answer, "feasible": feasible}
-            for d, t, pc, answer, feasible in cells)
-    _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "p_c": "{:.9g}".format,
-                  "min_ions": str}, args.format, args.output)
-    return _strict_exit(args, (feasible for *_, feasible in cells))
+    any_feasible = False
+
+    def rows():  # streamed from the solver; --strict reads what was written
+        nonlocal any_feasible
+        for d, t, pc, answer, feasible in cells:
+            any_feasible |= feasible
+            yield {"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
+                   "min_ions": answer, "feasible": feasible}
+
+    _table(rows(), {"distance": str, "cycle_time_us": "{:g}".format,
+                    "p_c": "{:.9g}".format, "min_ions": str}, args.format, args.output)
+    return _strict_exit(args, (any_feasible,))
 
 
 def _cmd_purify_simulate(args) -> int:

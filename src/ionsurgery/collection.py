@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_int
+
 CHUNK = 16384      # trials per split Philox stream
 BLOCK_DRAWS = 2 ** 16  # draws per block of whole trials (512 KiB of float64)
 # NumPy's Generator.geometric inverts one standard exponential E below this p,
@@ -50,9 +52,7 @@ class TrialConfig:
 
     def __post_init__(self):
         for name in ("n_ions", "attempts", "trials", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_ions < 1:
@@ -153,9 +153,10 @@ def simulate_collection(config: TrialConfig) -> CollectionResult:
     return CollectionResult(config, out)
 
 
-def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
-                      trials: int, seed: int) -> np.ndarray:
-    """Per-trial attempt count at which the k_star-th ion success arrives."""
+def _kth_success_draws(n_ions: int, p_entangle: float, k_star: int,
+                       trials: int, seed: int):
+    """(scale, kth): per trial, the draw whose round ceil(kth / scale) brings
+    the k_star-th ion success."""
     scale, blocks = _first_success_draws(n_ions, p_entangle, trials, seed)
     kth = np.empty(trials)
     for rows, draws in blocks:
@@ -163,7 +164,31 @@ def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
         # monotone, so it commutes with the order statistic
         draws.partition(k_star - 1, axis=1)
         kth[rows] = draws[:, k_star - 1]
+    return scale, kth
+
+
+def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
+                      trials: int, seed: int) -> np.ndarray:
+    """Per-trial attempt count at which the k_star-th ion success arrives.
+
+    The solvers read it at a few ranks through `_sorted_thresholds`; the
+    whole array is the snapshot's pin and the tests' reference.
+    """
+    scale, kth = _kth_success_draws(n_ions, p_entangle, k_star, trials, seed)
     return _rounds(kth, scale)
+
+
+def _sorted_thresholds(n_ions: int, p_entangle: float, k_star: int, trials: int,
+                       seed: int, ranks) -> list:
+    """Entries at the 1-based `ranks` of the sorted `_trial_thresholds`.
+
+    The map from draws to rounds is monotone, so only the draws at those
+    ranks are mapped: no per-trial array of rounds is built.
+    """
+    scale, kth = _kth_success_draws(n_ions, p_entangle, k_star, trials, seed)
+    idx = [r - 1 for r in ranks]
+    kth.partition(sorted(set(idx)))
+    return _rounds(kth[idx], scale).tolist()
 
 
 def _wilson_bounds(successes, trials: int, z: float):
@@ -199,6 +224,20 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
     return float(lower), float(upper)
 
 
+def _first_count_reaching(bound, trials: int, p_ls: float) -> int:
+    """np.searchsorted([bound(c) for c in 0..trials], p_ls, side="left"),
+    with the same probes, so also the same answer where rounding breaks the
+    bound's monotonicity; each probe computes one 0-d bound."""
+    lo, hi = 0, trials + 1
+    while lo < hi:
+        mid = lo + ((hi - lo) >> 1)
+        if bound(mid) < p_ls:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: float) -> None:
     if k_star > n_ions:
         raise ValueError("infeasible: k_star exceeds n_ions")
@@ -218,11 +257,9 @@ def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
     rounds, which makes the empirical frequency exactly monotone in A.
     """
     _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    t = _trial_thresholds(n_ions, p_entangle, k_star, trials, seed)
-    t.sort()
     need = int(np.ceil(p_ls * trials))
     need = min(max(need, 1), trials)
-    return int(t[need - 1])
+    return _sorted_thresholds(n_ions, p_entangle, k_star, trials, seed, [need])[0]
 
 
 def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
@@ -233,18 +270,14 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
     reaches p_ls); hi is the smallest A confidently at or above it.
     """
     _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    # the bounds are found and freed before the draws, so the two never
-    # hold memory at the same time
-    lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
-    c_lo = int(np.searchsorted(upper, p_ls, side="left"))
-    c_hi = int(np.searchsorted(lower, p_ls, side="left"))
-    del lower, upper
-    t = _trial_thresholds(n_ions, p_entangle, k_star, trials, seed)
-    t.sort()
-    lo = int(t[min(max(c_lo, 1), trials) - 1])
+    c_lo = _first_count_reaching(lambda c: _wilson_bounds(c, trials, Z99)[1], trials, p_ls)
+    c_hi = _first_count_reaching(lambda c: _wilson_bounds(c, trials, Z99)[0], trials, p_ls)
+    ranks = [min(max(c_lo, 1), trials)]
+    if 1 <= c_hi <= trials:
+        ranks.append(c_hi)
+    t = _sorted_thresholds(n_ions, p_entangle, k_star, trials, seed, ranks)
     # hi is open when even a perfect sample cannot certify p_ls at this size
-    hi = int(t[c_hi - 1]) if 1 <= c_hi <= trials else None
-    return lo, hi
+    return t[0], t[1] if len(t) > 1 else None
 
 
 def collection_report(config: TrialConfig, ks) -> dict:

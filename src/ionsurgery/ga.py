@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import as_int
 from .purify import (
     BASES,
     RELATIONS,
@@ -55,9 +56,7 @@ class GaConfig:
 
     def __post_init__(self):
         for name in ("population_size", "generations", "n_pairs", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.n_pairs not in (3, 4, 5):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import as_int
 from .quantum import (
     CLIFFORD_INDEX,
     BellDiagonalState,
@@ -81,8 +82,8 @@ _OPS = {
     "measure": (Measure, ("side", "pair", "basis", "record_label")),
 }
 _RULE_KEYS = ("label_i", "label_j", "relation")
-# the fields `_check_types` type-checks; `_check` checks the rest by value
-_INT_KEYS = frozenset(("n_pairs", "control_pair", "target_pair", "pair", "index"))
+# the op fields `_checked_fields` type-checks; `_check` checks the rest by value
+_INT_KEYS = frozenset(("control_pair", "target_pair", "pair", "index"))
 _STR_KEYS = frozenset(("record_label", "label_i", "label_j"))
 
 
@@ -98,12 +99,12 @@ class PurificationCircuit:
     accept: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "accept", tuple(self.accept))
+        object.__setattr__(self, "n_pairs", as_int("n_pairs", self.n_pairs))
+        object.__setattr__(self, "ops", _checked_fields(tuple(self.ops)))
+        object.__setattr__(self, "accept", _checked_fields(tuple(self.accept)))
         self._check()
 
     def _check(self):
-        _check_types((self, *self.ops, *self.accept))
         if not (MIN_PAIRS <= self.n_pairs <= MAX_PAIRS):
             raise ValueError(f"n_pairs must be {MIN_PAIRS}..{MAX_PAIRS}")
         measured = set()
@@ -199,15 +200,21 @@ def _check_keys(obj: dict, known, what: str, optional=frozenset()) -> None:
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _check_types(objs) -> None:
-    """Counts and pair indices must be ints (not bools), labels strings."""
-    for obj in objs:
+def _checked_fields(objs: tuple) -> tuple:
+    """objs, with every pair index and Clifford index a plain int (`as_int`)
+    and every label checked to be a string.  An object, and the tuple, are
+    copied only when a field changes: a search builds many circuits, and
+    fresh tuples for each fragment its heap."""
+    for i, obj in enumerate(objs):
         # an object without fields is no op; _check rejects it by type
         for key, v in getattr(obj, "__dict__", {}).items():
-            if key in _INT_KEYS and (isinstance(v, bool) or not isinstance(v, int)):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
-            if key in _STR_KEYS and not isinstance(v, str):
+            if key in _INT_KEYS and type(v) is not int:
+                obj = replace(obj, **{key: as_int(key, v)})
+            elif key in _STR_KEYS and not isinstance(v, str):
                 raise ValueError(f"{key} must be a string, got {v!r}")
+        if obj is not objs[i]:
+            objs = (*objs[:i], obj, *objs[i + 1:])
+    return objs
 
 
 def _list_field(obj: dict, key: str, default=None) -> list:

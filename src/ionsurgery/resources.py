@@ -16,16 +16,13 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
 import numpy as np
 
-
-def _check_int(name: str, v) -> None:
-    """Counts are Python or NumPy integers; bools and floats are rejected."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
+from ._checks import as_int
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,8 @@ class DeviceParams:
                 raise ValueError(f"{name} must lie in (0,1]")
         if not (0 < self.p_pair_confidence < 1):  # multiplexing_k's domain
             raise ValueError("p_pair_confidence must lie in (0,1)")
-        _check_int("pairs_per_circuit", self.pairs_per_circuit)
+        object.__setattr__(self, "pairs_per_circuit",
+                           as_int("pairs_per_circuit", self.pairs_per_circuit))
         if self.pairs_per_circuit < 2:
             raise ValueError("pairs_per_circuit must be at least 2")
 
@@ -64,7 +62,7 @@ class SurgeryQuery:
     paper_compat: bool = False
 
     def __post_init__(self):
-        _check_int("distance", self.distance)
+        object.__setattr__(self, "distance", as_int("distance", self.distance))
         if self.distance < 1:
             raise ValueError("distance must be at least 1")
         if (self.cycle_time_s is None) == (self.n_ions is None):
@@ -73,7 +71,7 @@ class SurgeryQuery:
                 math.isfinite(self.cycle_time_s) and self.cycle_time_s > 0):
             raise ValueError("cycle_time_s must be positive and finite")
         if self.n_ions is not None:
-            _check_int("n_ions", self.n_ions)
+            object.__setattr__(self, "n_ions", as_int("n_ions", self.n_ions))
             if self.n_ions < 1:
                 raise ValueError("n_ions must be at least 1")
 
@@ -274,11 +272,13 @@ def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
 
 
 def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
-                   paper_compat: bool = False) -> list:
-    """min_ions over the (d, T, p_c) grid; rows (d, T, p_c, min_ions, feasible).
+                   paper_compat: bool = False) -> Iterator[tuple]:
+    """min_ions over the (d, T, p_c) grid, as an iterator of rows
+    (d, T, p_c, min_ions, feasible) in grid order; use list() to keep them.
 
-    Every feasible cell is solved in one lockstep search; each row equals the
-    min_ions answer for its cell.
+    Every feasible cell is solved in one lockstep search before this returns,
+    so every ValueError comes before the first row; each row equals the
+    min_ions answer for its cell, and the rows are built as they are read.
     """
     distances = list(distances)
     cycle_times_s = list(cycle_times_s)
@@ -302,8 +302,8 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     except ValueError as exc:  # the smallest p_c fails first
         raise ValueError(f"p_c_grid value {min(p_c_grid)!r} is too small: {exc}") from None
     cells = itertools.product(distances, cycle_times_s, p_c_grid)
-    return [(d, t, pc, int(n), bool(ok))
-            for (d, t, pc), n, ok in zip(cells, answers, feasible)]
+    return ((d, t, pc, int(n), bool(ok))
+            for (d, t, pc), n, ok in zip(cells, answers, feasible))
 
 
 # device JSON key -> DeviceParams field

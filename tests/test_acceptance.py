@@ -58,8 +58,8 @@ def test_pair_demand_and_sweep_plateaus():
     assert [pairs_required(d, 3, 5) for d in (3, 6, 9)] == [45, 90, 135]
     grid = [float(v) for v in np.geomspace(1e-4, 1.0, 50)]
     t0 = time.perf_counter()
-    rows = sweep_coupling([3, 6, 9], [1e-3, 1e-4, 1e-5], grid, DEV,
-                          paper_compat=True)
+    rows = list(sweep_coupling([3, 6, 9], [1e-3, 1e-4, 1e-5], grid, DEV,
+                               paper_compat=True))
     dt = time.perf_counter() - t0
     assert dt < 1.0
     plateau = {d: min(r[3] for r in rows if r[0] == d and r[4])

@@ -179,10 +179,9 @@ def test_table_bytes_match_the_pins_on_stdout_and_in_the_output_file(
     assert path.read_bytes() == out.encode()
 
 
-def test_sweep_table_streams_in_bounded_memory(capsys):
-    # the 39,600-row sweep once held its rows three times over (13.9 MiB);
-    # streamed, only sweep_coupling's row list stays (about 5 MiB)
-    argv = [*TABLE_ARGV["sweep"], "--output", os.devnull]
+def _traced_sweep_peak(capsys, fmt: str) -> int:
+    """tracemalloc peak of a warm 39,600-row sweep written to the null device."""
+    argv = [*TABLE_ARGV["sweep"], "--format", fmt, "--output", os.devnull]
     assert main(argv) == 0  # loads SciPy and fills caches outside the trace
     tracemalloc.start()
     try:
@@ -190,8 +189,61 @@ def test_sweep_table_streams_in_bounded_memory(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
     assert capsys.readouterr().out == ""
+    return peak
+
+
+def test_sweep_table_streams_in_bounded_memory(capsys):
+    # the 39,600-row sweep once held its rows three times over (13.9 MiB);
+    # streamed from the solver to the file, the peak is the lockstep
+    # solver's own arrays (about 4.4 MiB)
+    assert _traced_sweep_peak(capsys, "csv") < 8 * 2 ** 20
+
+
+def test_json_sweep_table_streams_in_bounded_memory(capsys):
+    # built whole, the JSON text and its row dicts peaked at 51.1 MiB
+    assert _traced_sweep_peak(capsys, "json") < 8 * 2 ** 20
+
+
+def test_sweep_solves_its_table_in_one_call(capsys, monkeypatch):
+    calls = []
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(args)
+        return isg.sweep_coupling(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_coupling", counting_sweep)
+    code, out = run(capsys, ["sweep", "--distances", "3,6", "--cycle-times-us",
+                             "1000,10", "--points", "5", "--format", "json"])
+    assert code == 0 and len(json.loads(out)) == 2 * 2 * 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_with_a_hopeless_coupling_writes_nothing(capsys, tmp_path, fmt, to_file):
+    # the lockstep solver runs out at --pc-from 1e-300, and the rows are
+    # streamed only once every cell is solved, so nothing is written
+    path = tmp_path / f"table.{fmt}"
+    argv = ["sweep", "--distances", "3", "--cycle-times-us", "1000",
+            "--pc-from", "1e-300", "--pc-to", "1", "--points", "4", "--format", fmt]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(path)] if to_file else argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--pc-from/--pc-to: p_c_grid value 1e-300 is too small" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_strict_exit_follows_the_streamed_rows(capsys, fmt):
+    # a 0.1 us cycle leaves no attempt, so each of its cells is infeasible
+    argv = ["sweep", "--distances", "3", "--points", "3", "--format", fmt, "--strict"]
+    code, out = run(capsys, [*argv, "--cycle-times-us", "0.1"])
+    assert code == 1 and out
+    code, _ = run(capsys, [*argv, "--cycle-times-us", "0.1,1000"])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,34 @@ def test_bracket_upper_end_opens_when_uncertifiable():
     assert lo > 0
 
 
+def _array_bracket(n_ions, p_entangle, k_star, p_ls, trials, seed):
+    """The bracket from every Wilson bound and every trial's round, sorted."""
+    from ionsurgery.collection import _trial_thresholds, _wilson_bounds
+
+    lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
+    c_lo = int(np.searchsorted(upper, p_ls, side="left"))
+    c_hi = int(np.searchsorted(lower, p_ls, side="left"))
+    t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
+    lo = int(t[min(max(c_lo, 1), trials) - 1])
+    return lo, int(t[c_hi - 1]) if 1 <= c_hi <= trials else None
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 10, 99, 100, 101, 1000, 4099])
+def test_bracket_reads_two_ranks_as_the_array_path_does(trials):
+    # the scalar bisection repeats np.searchsorted's probes, and only the two
+    # order statistics it finds are mapped to rounds; p_ls also takes the
+    # values of two bounds, where a search for the right side would differ
+    from ionsurgery.collection import _wilson_bounds
+
+    ties = [float(b[trials // 2]) for b in _wilson_bounds(np.arange(trials + 1), trials, Z99)]
+    for p_ls in (1e-3, 0.05, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0, *ties):
+        if not 0 < p_ls <= 1:
+            continue
+        for n, p in ((9, 0.05), (4, 0.5)):
+            args = (n, p, (n + 1) // 2, p_ls, trials, trials)
+            assert empirical_attempts_bracket(*args) == _array_bracket(*args)
+
+
 def test_wilson_interval_reference_values():
     lo, hi = wilson_interval(50, 100, 1.96)
     assert lo == pytest.approx(0.4038298, abs=1e-6)

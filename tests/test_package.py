@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ionsurgery as isg
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -62,3 +65,20 @@ def test_every_name_the_benchmark_traces_resolves():
     missing = [f"{m}.{a}" for m, a in pairs
                if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda i: isg.DeviceParams(pairs_per_circuit=i(3)), ("pairs_per_circuit",)),
+    (lambda i: isg.SurgeryQuery(distance=i(3), n_ions=i(100)), ("distance", "n_ions")),
+    (lambda i: isg.GaConfig(population_size=i(4), generations=i(2), n_pairs=i(3),
+                            seed=i(5)), ("population_size", "generations", "n_pairs", "seed")),
+    (lambda i: isg.TrialConfig(n_ions=i(5), p_entangle=0.5, attempts=i(1), trials=i(10),
+                               seed=i(0)), ("n_ions", "attempts", "trials", "seed")),
+    (lambda i: isg.PurificationCircuit(i(2), (), ()), ("n_pairs",)),
+], ids=["device", "query", "ga", "trials", "circuit"])
+def test_numpy_integer_counts_are_stored_as_plain_ints(make, fields):
+    # one integer rule: NumPy integers pass wherever a count does, as int
+    for i in (np.int64, np.int32, np.uint8):
+        obj = make(i)
+        assert obj == make(int)
+        assert [type(getattr(obj, f)) for f in fields] == [int] * len(fields)

@@ -117,6 +117,24 @@ def test_gate_and_measure_field_validation():
             two_pair_circuit(measured, [AcceptRule(bad, "c2", "coincident")])
 
 
+def test_numpy_integer_fields_are_stored_as_ints():
+    # counts and indices follow the package's one integer rule: NumPy
+    # integers pass and are stored as int, so the JSON stays plain
+    i64, i32 = np.int64, np.int32
+    ops = [SingleQubitClifford(i64(0), "A", i32(1)),
+           TwoQubitGate("cnot", "A", i64(0), i32(1)),
+           TwoQubitGate("cnot", "B", 0, 1),
+           Measure(i64(1), "A", "Z", "c1"), Measure(1, "B", "Z", "c2")]
+    accept = (AcceptRule("c1", "c2", "coincident"),)
+    circ = PurificationCircuit(i64(2), tuple(ops), accept)
+    plain = PurificationCircuit(2, (SingleQubitClifford(0, "A", 1), *isg.bbpssw_circuit().ops),
+                                accept)
+    assert circ.to_json() == plain.to_json()
+    fields = [circ.n_pairs, *(v for op in circ.ops for v in vars(op).values())]
+    assert all(type(v) in (int, str) for v in fields)
+    assert circ.ops[2] is ops[2]  # an op with plain fields is kept as it is
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,5 +1,6 @@
 """Resource model: multiplexing, binomial tails, ion/attempt solvers, devices."""
 
+import itertools
 import json
 import math
 import time
@@ -327,7 +328,7 @@ def test_attempts_required_is_minimal():
 def test_sweep_structure_and_monotonicity():
     pcs = list(np.geomspace(1e-4, 1e-1, 30))
     t0 = time.perf_counter()
-    rows = sweep_coupling([3, 5, 9], [1e-4, 1e-3], pcs, DEV)
+    rows = list(sweep_coupling([3, 5, 9], [1e-4, 1e-3], pcs, DEV))
     dt = time.perf_counter() - t0
     assert len(rows) == 3 * 2 * 30
     assert dt < 1.0
@@ -339,10 +340,28 @@ def test_sweep_structure_and_monotonicity():
         assert block == sorted(block, reverse=True)
 
 
+def test_sweep_solves_every_cell_before_it_returns_an_iterator(monkeypatch):
+    from ionsurgery import resources
+
+    tail, calls = resources._tail, []
+    monkeypatch.setattr(resources, "_tail", lambda *a: calls.append(a) or tail(*a))
+    grid = ([3, 9], [1e-3, 1e-7], [1e-3, 1.0])
+    rows = sweep_coupling(*grid, DEV)
+    solved = len(calls)
+    assert solved and iter(rows) is rows
+    got = list(rows)
+    assert len(calls) == solved and list(rows) == []  # read once, solve nothing
+    want = []
+    for d, t, pc in itertools.product(*grid):
+        res = min_ions(SurgeryQuery(d, cycle_time_s=t), replace(DEV, p_entangle=pc))
+        want.append((d, t, pc, res.answer, res.feasible))
+    assert got == want
+
+
 def test_sweep_compat_changes_only_the_answer():
     pcs = [1e-3, 1e-2]
-    plain = sweep_coupling([3], [1e-3], pcs, DEV)
-    compat = sweep_coupling([3], [1e-3], pcs, DEV, paper_compat=True)
+    plain = list(sweep_coupling([3], [1e-3], pcs, DEV))
+    compat = list(sweep_coupling([3], [1e-3], pcs, DEV, paper_compat=True))
     for a, b in zip(plain, compat):
         assert a[:3] == b[:3] and a[4] == b[4]
         assert b[3] >= a[3]
@@ -364,7 +383,7 @@ SMALL_DEVICES = (DEV, replace(DEV, p_purify=1.0, pairs_per_circuit=2))
 def test_sweep_matches_a_linear_scan(device, paper_compat):
     # 1e-7 s is a zero-attempt budget: those cells are infeasible
     distances, times, pcs = [1, 2, 3], [1e-7, 2e-6, 3e-5], [0.01, 0.1, 0.5, 1.0]
-    rows = sweep_coupling(distances, times, pcs, device, paper_compat=paper_compat)
+    rows = list(sweep_coupling(distances, times, pcs, device, paper_compat=paper_compat))
     k = multiplexing_k(device.p_purify, device.p_pair_confidence)
     want = []
     for d in distances:
@@ -402,8 +421,8 @@ def test_sweep_answers_meet_the_target_by_an_independent_tail(paper_compat):
     # every answer m is the first ion count whose tail reaches P_LS, checked
     # with a lower-tail sum that shares no code with the solver's betainc
     distances, times = range(3, 10), [1e-3, 1e-4, 1e-5]
-    rows = sweep_coupling(distances, times, np.geomspace(1e-4, 1, 40).tolist(), DEV,
-                          paper_compat=paper_compat)
+    rows = list(sweep_coupling(distances, times, np.geomspace(1e-4, 1, 40).tolist(),
+                               DEV, paper_compat=paper_compat))
     k = multiplexing_k(DEV.p_purify, DEV.p_pair_confidence)
     assert len(rows) == 7 * 3 * 40 and all(r[4] for r in rows)
     for d, t, pc, m, _ in rows:
