@@ -27,6 +27,7 @@ is not used.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,55 +192,29 @@ def _sorted_thresholds(n_ions: int, p_entangle: float, k_star: int, trials: int,
     return _rounds(kth[idx], scale).tolist()
 
 
-def _wilson_bounds(successes, trials: int, z: float):
-    """Wilson score bounds (lower, upper), clipped to [0, 1]; elementwise.
-
-    Each step is the ufunc of the textbook formula, run in place on three
-    arrays the shape of `successes`, so the bits are the formula's and no
-    chain of full-size temporaries is built; 0-d arrays serve a scalar.
-    """
-    zz = z * z
-    denom = 1 + zz / trials
-    phat = np.true_divide(successes, trials, out=np.empty(np.shape(successes)))
-    half = np.subtract(1, phat, out=np.empty_like(phat))
-    half *= phat
-    half /= trials
-    half += zz / (4 * trials * trials)
-    np.sqrt(half, out=half)
-    np.multiply(z, half, out=half)
-    half /= denom
-    center = phat
-    center += zz / (2 * trials)
-    center /= denom
-    lower = np.subtract(center, half, out=np.empty_like(center))
-    upper = np.add(center, half, out=center)
-    return np.maximum(lower, 0.0, out=lower), np.minimum(upper, 1.0, out=upper)
-
-
 def wilson_interval(successes: int, trials: int, z: float = Z99):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval (lower, upper) for `successes` of `trials`,
+    clipped to [0, 1]."""
+    successes, trials = as_int("successes", successes), as_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    lower, upper = _wilson_bounds(successes, trials, z)
-    return float(lower), float(upper)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in 0..trials, got {successes}")
+    zz = z * z
+    denom = 1 + zz / trials
+    phat = successes / trials
+    half = z * math.sqrt(phat * (1 - phat) / trials + zz / (4 * trials * trials)) / denom
+    center = (phat + zz / (2 * trials)) / denom
+    return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _first_count_reaching(bound, trials: int, p_ls: float) -> int:
-    """np.searchsorted([bound(c) for c in 0..trials], p_ls, side="left"),
-    with the same probes, so also the same answer where rounding breaks the
-    bound's monotonicity; each probe computes one 0-d bound."""
-    lo, hi = 0, trials + 1
-    while lo < hi:
-        mid = lo + ((hi - lo) >> 1)
-        if bound(mid) < p_ls:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: float) -> None:
-    if k_star > n_ions:
+def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: float,
+                         trials: int, seed: int) -> tuple:
+    """(config, k_star): n_ions, p_entangle, trials and seed checked by
+    TrialConfig's rule, and k_star as an int."""
+    config = TrialConfig(n_ions, p_entangle, 0, trials, seed)
+    k_star = as_int("k_star", k_star)
+    if k_star > config.n_ions:
         raise ValueError("infeasible: k_star exceeds n_ions")
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
@@ -247,6 +222,7 @@ def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: floa
         raise ValueError("p_entangle must be positive")
     if not 0 < p_ls <= 1:
         raise ValueError("p_ls must be in (0, 1]")
+    return config, k_star
 
 
 def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
@@ -256,10 +232,11 @@ def empirical_min_attempts(n_ions: int, p_entangle: float, k_star: int,
     The estimate is the p_ls quantile of the per-trial k_star-th-success
     rounds, which makes the empirical frequency exactly monotone in A.
     """
-    _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    need = int(np.ceil(p_ls * trials))
-    need = min(max(need, 1), trials)
-    return _sorted_thresholds(n_ions, p_entangle, k_star, trials, seed, [need])[0]
+    cfg, k_star = _check_solver_inputs(n_ions, p_entangle, k_star, p_ls, trials, seed)
+    need = int(np.ceil(p_ls * cfg.trials))
+    need = min(max(need, 1), cfg.trials)
+    return _sorted_thresholds(cfg.n_ions, cfg.p_entangle, k_star, cfg.trials,
+                              cfg.seed, [need])[0]
 
 
 def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
@@ -267,15 +244,21 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
     """99% Wilson bracket (lo, hi) that should contain the analytic minimum.
 
     lo is the smallest A not confidently below threshold (Wilson upper bound
-    reaches p_ls); hi is the smallest A confidently at or above it.
+    reaches p_ls); hi is the smallest A confidently at or above it.  Each
+    count is a left bisection over 0..trials, with the probes of
+    np.searchsorted(..., side="left") over every count's bound, so also its
+    answer where rounding breaks the bound's monotonicity (`key=` needs
+    Python 3.10).
     """
-    _check_solver_inputs(n_ions, p_entangle, k_star, p_ls)
-    c_lo = _first_count_reaching(lambda c: _wilson_bounds(c, trials, Z99)[1], trials, p_ls)
-    c_hi = _first_count_reaching(lambda c: _wilson_bounds(c, trials, Z99)[0], trials, p_ls)
-    ranks = [min(max(c_lo, 1), trials)]
-    if 1 <= c_hi <= trials:
+    cfg, k_star = _check_solver_inputs(n_ions, p_entangle, k_star, p_ls, trials, seed)
+    counts = range(cfg.trials + 1)
+    c_lo = bisect_left(counts, p_ls, key=lambda s: wilson_interval(s, cfg.trials)[1])
+    c_hi = bisect_left(counts, p_ls, key=lambda s: wilson_interval(s, cfg.trials)[0])
+    ranks = [min(max(c_lo, 1), cfg.trials)]
+    if 1 <= c_hi <= cfg.trials:
         ranks.append(c_hi)
-    t = _sorted_thresholds(n_ions, p_entangle, k_star, trials, seed, ranks)
+    t = _sorted_thresholds(cfg.n_ions, cfg.p_entangle, k_star, cfg.trials,
+                           cfg.seed, ranks)
     # hi is open when even a perfect sample cannot certify p_ls at this size
     return t[0], t[1] if len(t) > 1 else None
 

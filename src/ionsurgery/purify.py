@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import as_int, check_keys, check_object
 from .quantum import (
     CLIFFORD_INDEX,
     BellDiagonalState,
@@ -159,21 +159,21 @@ class PurificationCircuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PurificationCircuit":
-        _check_keys(d, ("n_pairs", "ops", "accept"), "circuit", optional={"accept"})
+        check_keys(d, ("n_pairs", "ops", "accept"), "circuit", optional={"accept"})
         ops = []
         for o in _list_field(d, "ops"):
-            _check_object(o, "op")
+            check_object(o, "op")
             kind = o.get("kind")
             if not isinstance(kind, str) or kind not in _OPS:
                 raise ValueError(f"unknown op kind {kind!r}")
             op_type, keys = _OPS[kind]
-            _check_keys(o, ("kind", *keys), f"{kind} op")
+            check_keys(o, ("kind", *keys), f"{kind} op")
             fields = {k: o[k] for k in keys}
             ops.append(op_type(kind, **fields) if op_type is TwoQubitGate
                        else op_type(**fields))
         accept = []
         for a in _list_field(d, "accept", []):
-            _check_keys(a, _RULE_KEYS, "accept rule")
+            check_keys(a, _RULE_KEYS, "accept rule")
             accept.append(AcceptRule(**{k: a[k] for k in _RULE_KEYS}))
         return cls(d["n_pairs"], tuple(ops), tuple(accept))
 
@@ -183,21 +183,6 @@ class PurificationCircuit:
     @classmethod
     def from_json(cls, text: str) -> "PurificationCircuit":
         return cls.from_dict(json.loads(text))
-
-
-def _check_object(obj, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
-
-
-def _check_keys(obj: dict, known, what: str, optional=frozenset()) -> None:
-    _check_object(obj, what)
-    extra = set(obj) - set(known)
-    if extra:
-        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
-    missing = set(known) - optional - set(obj)
-    if missing:
-        raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
 def _checked_fields(objs: tuple) -> tuple:

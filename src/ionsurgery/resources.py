@@ -22,7 +22,7 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import as_int, check_keys
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,9 @@ def multiplexing_k(p_purify: float, p_pair_confidence: float) -> int:
 
 def pairs_required(distance: int, pairs_per_circuit: int, k_multiplex: int) -> int:
     """N_LS = d * N_p * K raw-pair demand of one surgery cycle."""
+    distance = as_int("distance", distance)
+    pairs_per_circuit = as_int("pairs_per_circuit", pairs_per_circuit)
+    k_multiplex = as_int("k_multiplex", k_multiplex)
     if min(distance, pairs_per_circuit, k_multiplex) < 1:
         raise ValueError("all factors must be at least 1")
     return distance * pairs_per_circuit * k_multiplex
@@ -120,9 +123,12 @@ def pairs_required(distance: int, pairs_per_circuit: int, k_multiplex: int) -> i
 
 def p_onepair(p_entangle: float, attempts: int) -> float:
     """1 - (1-p_c)^A, numerically stable for tiny p_c."""
+    attempts = as_int("attempts", attempts)
     if attempts < 0:
         raise ValueError("attempts must be nonnegative")
-    if attempts == 0 or p_entangle <= 0:
+    if not 0 <= p_entangle <= 1:
+        raise ValueError("p_entangle must lie in [0,1]")
+    if attempts == 0 or p_entangle == 0:
         return 0.0
     if p_entangle >= 1:
         return 1.0
@@ -131,6 +137,7 @@ def p_onepair(p_entangle: float, attempts: int) -> float:
 
 def binomial_tail_geq(n: int, p: float, k: int) -> float:
     """P(X >= k) for X ~ Binomial(n, p), via the regularized incomplete beta."""
+    n, k = as_int("n", n), as_int("k", k)
     if not (0 <= k <= n + 1):
         raise ValueError("k must lie in 0..n+1")
     if not (0 <= p <= 1):
@@ -235,6 +242,7 @@ def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
 def attempts_required(n_ions: int, p_entangle: float, k_star: int,
                       p_ls: float) -> int:
     """Smallest attempt budget A with P(X >= k_star | n_ions, A) >= p_ls."""
+    n_ions, k_star = as_int("n_ions", n_ions), as_int("k_star", k_star)
     if not 0 < p_entangle <= 1:
         raise ValueError("p_entangle must be in (0, 1]")
     if not 0 < p_ls <= 1:
@@ -321,11 +329,7 @@ def load_device(path) -> DeviceParams:
 
 def device_from_dict(raw: dict) -> DeviceParams:
     """Device from short-name keys; omitted keys take the packaged defaults."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"device must be a JSON object, got {raw!r}")
-    extra = set(raw) - set(_DEVICE_KEYS)
-    if extra:
-        raise ValueError(f"unknown device keys: {sorted(extra)}")
+    check_keys(raw, _DEVICE_KEYS, "device", optional=_DEVICE_KEYS)
     ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
     with ref.open() as fh:
         merged = {**json.load(fh), **raw}

@@ -146,6 +146,22 @@ def test_empirical_solvers_reject_bad_k_star_and_p_ls(solver):
             solver(10, 0.01, k_star, p_ls, 1000, 1)
 
 
+@pytest.mark.parametrize("solver", [empirical_min_attempts, empirical_attempts_bracket])
+def test_empirical_solvers_check_trial_inputs_as_trial_config_does(solver):
+    # a NaN p_entangle used to give -2**63, trials=0 a ZeroDivisionError or an
+    # IndexError, fractional counts a TypeError, p_entangle=2 and seed=-1
+    # NumPy's own errors
+    good = (10, 0.5, 5, 0.9, 100, 1)
+    for i, value, field in ((1, float("nan"), "p_entangle"), (1, 2.0, "p_entangle"),
+                            (4, 0, "trials"), (4, 100.0, "trials"),
+                            (0, 10.5, "n_ions"), (5, -1, "seed"), (2, 2.5, "k_star")):
+        args = list(good)
+        args[i] = value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            solver(*args)
+    assert solver(*(np.int64(v) if type(v) is int else v for v in good)) == solver(*good)
+
+
 def test_empirical_min_attempts_is_monotone_in_p_ls():
     vals = [empirical_min_attempts(45, 2.18e-4, 45, q, 4000, 17)
             for q in (0.5, 0.9, 0.99, 0.999)]
@@ -169,9 +185,9 @@ def test_bracket_upper_end_opens_when_uncertifiable():
 
 def _array_bracket(n_ions, p_entangle, k_star, p_ls, trials, seed):
     """The bracket from every Wilson bound and every trial's round, sorted."""
-    from ionsurgery.collection import _trial_thresholds, _wilson_bounds
+    from ionsurgery.collection import _trial_thresholds
 
-    lower, upper = _wilson_bounds(np.arange(trials + 1), trials, Z99)
+    lower, upper = _textbook_wilson(np.arange(trials + 1), trials, Z99)
     c_lo = int(np.searchsorted(upper, p_ls, side="left"))
     c_hi = int(np.searchsorted(lower, p_ls, side="left"))
     t = np.sort(_trial_thresholds(n_ions, p_entangle, k_star, trials, seed))
@@ -181,12 +197,10 @@ def _array_bracket(n_ions, p_entangle, k_star, p_ls, trials, seed):
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 10, 99, 100, 101, 1000, 4099])
 def test_bracket_reads_two_ranks_as_the_array_path_does(trials):
-    # the scalar bisection repeats np.searchsorted's probes, and only the two
-    # order statistics it finds are mapped to rounds; p_ls also takes the
-    # values of two bounds, where a search for the right side would differ
-    from ionsurgery.collection import _wilson_bounds
-
-    ties = [float(b[trials // 2]) for b in _wilson_bounds(np.arange(trials + 1), trials, Z99)]
+    # bisect_left repeats np.searchsorted's probes, and only the two order
+    # statistics it finds are mapped to rounds; p_ls also takes the values of
+    # two bounds, where a search for the right side would differ
+    ties = [float(b[trials // 2]) for b in _textbook_wilson(np.arange(trials + 1), trials, Z99)]
     for p_ls in (1e-3, 0.05, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0, *ties):
         if not 0 < p_ls <= 1:
             continue
@@ -201,8 +215,15 @@ def test_wilson_interval_reference_values():
     assert hi == pytest.approx(0.5961702, abs=1e-6)
     assert wilson_interval(0, 50)[0] == 0.0
     assert wilson_interval(50, 50)[1] == 1.0
+    assert wilson_interval(np.int64(50), np.int64(100), 1.96) == (lo, hi)
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    # these used to give (nan, nan), or numbers for a fractional count
+    for successes, trials, field in ((20, 10, "successes"), (-5, 10, "successes"),
+                                     (2.5, 10, "successes"), (5, 10.0, "trials"),
+                                     (True, 10, "successes")):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            wilson_interval(successes, trials)
 
 
 def _textbook_wilson(successes, trials, z):
@@ -216,15 +237,12 @@ def _textbook_wilson(successes, trials, z):
 @pytest.mark.parametrize("trials", [1, 2, 7, 100, 2000, CHUNK + 100, 100_000])
 @pytest.mark.parametrize("z", [Z99, 1.96, 1.0])
 def test_in_place_wilson_bounds_equal_the_textbook_formula_bit_for_bit(trials, z):
-    from ionsurgery.collection import _wilson_bounds
-
-    counts = np.arange(trials + 1)
-    for got, want in zip(_wilson_bounds(counts, trials, z),
-                         _textbook_wilson(counts, trials, z)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    for k in sorted({0, 1, trials // 3, trials}):  # scalars take 0-d arrays
-        want = tuple(float(b) for b in _textbook_wilson(k, trials, z))
-        assert wilson_interval(k, trials, z) == want
+    # the name predates the scalar formula; wilson_interval, at every count,
+    # keeps the bits of the textbook formula evaluated over all counts at once
+    lower, upper = _textbook_wilson(np.arange(trials + 1), trials, z)
+    got = np.array([wilson_interval(k, trials, z) for k in range(trials + 1)])
+    assert np.array_equal(got[:, 0].view(np.uint64), lower.view(np.uint64))
+    assert np.array_equal(got[:, 1].view(np.uint64), upper.view(np.uint64))
 
 
 @pytest.mark.parametrize("p", [2.18e-4, 0.5])

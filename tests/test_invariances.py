@@ -7,7 +7,10 @@ and, where p >= MIN_SUCCESS, the same output fidelity F, to 1e-12:
 - relabelling the ancilla pairs 1..n-1;
 - swapping sides A and B in every op, with the two qubits of the input pair;
 - prepending U on A and its conjugate partner on B to a pair of a Werner
-  input, without noise (U (x) conj(U) leaves a Werner state unchanged).
+  input, without noise (U (x) conj(U) leaves a Werner state unchanged);
+- swapping two adjacent gates on disjoint qubits, whose gate noise acts on
+  the gate's own qubits only.  This holds in exact arithmetic, but the
+  rounding of the two orders differs, so it too is a tolerance check.
 """
 from dataclasses import replace
 
@@ -96,4 +99,29 @@ def test_a_conjugate_clifford_pair_before_a_werner_input_keeps_the_outcome(n, co
         twirled = PurificationCircuit(n, twirl + circ.ops, circ.accept)
         compared += assert_same_outcome(simulate(circ, WERNER, IDEAL_NOISE),
                                         simulate(twirled, WERNER, IDEAL_NOISE))
+    assert compared
+
+
+def gate_qubits(op) -> set:
+    """The (pair, side) qubits a gate acts on; its noise acts on no other."""
+    return {(v, op.side) for k, v in vars(op).items() if k in PAIR_FIELDS}
+
+
+@pytest.mark.parametrize("n, count", SIZES)
+def test_swapping_adjacent_gates_on_disjoint_qubits_keeps_the_outcome(n, count):
+    rng, circuits = random_circuits(n, count, seed=400 + n)
+    compared = 0
+    for circ in circuits:
+        ops = list(circ.ops)
+        gates = [op for op in ops if op.kind != "measure"]  # measurements come last
+        spots = [i for i in range(len(gates) - 1)
+                 if not gate_qubits(ops[i]) & gate_qubits(ops[i + 1])]
+        if not spots:
+            continue
+        i = spots[int(rng.integers(len(spots)))]
+        ops[i], ops[i + 1] = ops[i + 1], ops[i]
+        swapped = PurificationCircuit(n, tuple(ops), circ.accept)
+        for inp in (WERNER, MEASURED):
+            compared += assert_same_outcome(simulate(circ, inp, DEVICE_NOISE),
+                                            simulate(swapped, inp, DEVICE_NOISE))
     assert compared

@@ -155,6 +155,12 @@ def test_pairs_required_scaling():
     assert pairs_required(1, 2, 1) == 2
     with pytest.raises(ValueError):
         pairs_required(0, 3, 5)
+    # a fractional distance used to give 15.0
+    for args, field in (((2.5, 3, 2), "distance"), ((3, 3.0, 2), "pairs_per_circuit"),
+                        ((3, 3, True), "k_multiplex")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            pairs_required(*args)
+    assert pairs_required(np.int64(3), 3, np.int64(5)) == 45
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,13 @@ def test_p_onepair_reference_and_edges():
     assert p_onepair(1e-12, 10) == pytest.approx(1e-11, rel=1e-9)
     with pytest.raises(ValueError):
         p_onepair(0.5, -1)
+    # these used to give a number, or nan
+    with pytest.raises(ValueError, match="^attempts must be an integer"):
+        p_onepair(0.1, 2.5)
+    for p in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^p_entangle must lie in \[0,1\]"):
+            p_onepair(p, 5)
+    assert p_onepair(0.5, np.int64(2)) == 0.75
 
 
 def test_binomial_tail_against_exact_rationals():
@@ -198,6 +211,16 @@ def test_binomial_tail_edges():
         binomial_tail_geq(10, 0.3, 12)
     with pytest.raises(ValueError):
         binomial_tail_geq(10, 1.3, 2)
+    # fractional counts used to give numbers, here and in attempts_required
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        binomial_tail_geq(10.5, 0.5, 3)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        binomial_tail_geq(10, 0.5, 3.0)
+    with pytest.raises(ValueError, match="^n_ions must be an integer"):
+        attempts_required(10.5, 0.5, 5, 0.9)
+    with pytest.raises(ValueError, match="^k_star must be an integer"):
+        attempts_required(10, 0.5, 5.0, 0.9)
+    assert binomial_tail_geq(np.int64(10), 0.3, np.int64(3)) == binomial_tail_geq(10, 0.3, 3)
 
 
 # ---------------------------------------------------------------------------
