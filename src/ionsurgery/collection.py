@@ -8,11 +8,16 @@ are independent of chunking or execution order for a fixed seed.
 
 The draws are exactly those of NumPy's `Generator.geometric`.  For p < 1/3 it
 maps one standard exponential E to the round ceil(E / c), c = -log1p(-p), so
-the exponentials are drawn directly into one reused buffer, a block of whole
+the exponentials are drawn directly into a reused buffer, a block of whole
 trials at a time.  A block holds max(1, BLOCK_DRAWS // n_ions) trials, at most
 CHUNK, so the buffer holds at most BLOCK_DRAWS doubles unless one trial alone
 needs more; the generator fills it in C order, so the stream does not depend
 on the block size.
+The chunks run on one worker thread per usable CPU, at most one per chunk,
+for the length of one call; NumPy's fills and reductions release the GIL.
+Each worker holds one draw buffer and one bool mask of a block's shape, and
+runs its chunks' blocks in stream order, writing only their own trials, so
+every output has the same bits for any worker count.
 A count compares E with the largest double whose round is <= A, and the
 k-th success maps the k-th smallest E, since the map is monotone.  For
 p >= 1/3 NumPy searches one uniform draw instead, and the same blocked loop
@@ -27,6 +32,7 @@ is not used.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -85,24 +91,49 @@ class CollectionResult:
         return float(np.mean(self.counts))
 
 
-def _first_success_draws(n_ions: int, p_entangle: float, trials: int, seed: int):
-    """(scale, blocks): draws x whose first-success round is ceil(x / scale).
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    `blocks` yields (trial slice, draws) in stream order, at most
-    max(1, BLOCK_DRAWS // n_ions) trials at a time.  Below GEOMETRIC_SEARCH_P
-    the draws are the standard exponentials behind NumPy's geometric
-    inversion, filled into one reused buffer; otherwise they are NumPy's
-    geometric draws themselves (scale 1).
+
+def _draw_scale(p_entangle: float) -> float:
+    """Scale of the draws x whose first-success round is ceil(x / scale).
+
+    Below GEOMETRIC_SEARCH_P the draws are the standard exponentials behind
+    NumPy's geometric inversion; otherwise they are NumPy's geometric draws
+    themselves (scale 1).
+    """
+    return 1.0 if p_entangle >= GEOMETRIC_SEARCH_P else -math.log1p(-p_entangle)
+
+
+def _reduce_draws(n_ions: int, p_entangle: float, trials: int, seed: int,
+                  reduce) -> None:
+    """Call reduce(rows, draws, mask) on every block of first-success draws.
+
+    `rows` is the block's trial slice, `draws` its (rows, n_ions) draws in
+    the units of `_draw_scale`, and `mask` a bool scratch array of the same
+    shape.  Chunk i draws from the i-th split stream, its blocks in stream
+    order, at most max(1, BLOCK_DRAWS // n_ions) trials at a time.  The
+    chunks run on min(usable CPUs, chunks) workers, the caller's thread as
+    worker 0 and the rest in a pool that lives for this call; worker w takes
+    chunks w, w + workers, ...  reduce must write only what `rows` owns, so
+    the outputs do not depend on the schedule.  An exception in any worker is
+    raised here, after every worker has stopped.
     """
     search = p_entangle >= GEOMETRIC_SEARCH_P
-    scale = 1.0 if search else -math.log1p(-p_entangle)
-    block = min(max(BLOCK_DRAWS // n_ions, 1), CHUNK)
+    block = min(max(BLOCK_DRAWS // n_ions, 1), CHUNK, trials)
+    children = np.random.SeedSequence(seed).spawn(-(-trials // CHUNK))
+    workers = min(_usable_cpus(), len(children))
+    # every buffer is allocated before any worker starts
+    bufs = [(None if search else np.empty((block, n_ions)),
+             np.empty((block, n_ions), dtype=bool)) for _ in range(workers)]
 
-    def blocks():
-        buf = None if search else np.empty((min(block, trials), n_ions))
-        children = np.random.SeedSequence(seed).spawn(max(-(-trials // CHUNK), 1))
-        for i, child in enumerate(children):
-            rng = np.random.Generator(np.random.Philox(child))
+    def work(w):
+        buf, mask = bufs[w]
+        for i in range(w, len(children), workers):
+            rng = np.random.Generator(np.random.Philox(children[i]))
             end = min((i + 1) * CHUNK, trials)
             for start in range(i * CHUNK, end, block):
                 rows = min(block, end - start)
@@ -110,9 +141,19 @@ def _first_success_draws(n_ions: int, p_entangle: float, trials: int, seed: int)
                     draws = rng.geometric(p_entangle, size=(rows, n_ions))
                 else:
                     draws = rng.standard_exponential(out=buf[:rows])
-                yield slice(start, start + rows), draws
+                reduce(slice(start, start + rows), draws, mask[:rows])
 
-    return scale, blocks()
+    if workers == 1:
+        work(0)
+        return
+    # loaded on the first threaded call only, as resources._tail loads SciPy
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, w) for w in range(1, workers)]
+        work(0)
+    for future in futures:
+        future.result()
 
 
 def _draw_cutoff(attempts: int, scale: float) -> float:
@@ -144,28 +185,33 @@ def _rounds(draws: np.ndarray, scale: float) -> np.ndarray:
 
 def simulate_collection(config: TrialConfig) -> CollectionResult:
     """Per-trial entangled counts after `attempts` retire-on-success rounds."""
-    out = np.zeros(config.trials, dtype=np.int64)
+    counts = np.zeros(config.trials, dtype=np.int64)
     if config.p_entangle > 0 and config.attempts > 0:
-        scale, blocks = _first_success_draws(config.n_ions, config.p_entangle,
-                                             config.trials, config.seed)
-        cutoff = _draw_cutoff(config.attempts, scale)
-        for rows, draws in blocks:
-            out[rows] = np.count_nonzero(draws <= cutoff, axis=1)
-    return CollectionResult(config, out)
+        cutoff = _draw_cutoff(config.attempts, _draw_scale(config.p_entangle))
+
+        def count(rows, draws, mask):
+            np.less_equal(draws, cutoff, out=mask)
+            np.add.reduce(mask, axis=1, dtype=np.int64, out=counts[rows])
+
+        _reduce_draws(config.n_ions, config.p_entangle, config.trials,
+                      config.seed, count)
+    return CollectionResult(config, counts)
 
 
 def _kth_success_draws(n_ions: int, p_entangle: float, k_star: int,
                        trials: int, seed: int):
     """(scale, kth): per trial, the draw whose round ceil(kth / scale) brings
     the k_star-th ion success."""
-    scale, blocks = _first_success_draws(n_ions, p_entangle, trials, seed)
     kth = np.empty(trials)
-    for rows, draws in blocks:
+
+    def take_kth(rows, draws, _mask):
         # k_star-th order statistic of the draws; the map to rounds is
         # monotone, so it commutes with the order statistic
         draws.partition(k_star - 1, axis=1)
         kth[rows] = draws[:, k_star - 1]
-    return scale, kth
+
+    _reduce_draws(n_ions, p_entangle, trials, seed, take_kth)
+    return _draw_scale(p_entangle), kth
 
 
 def _trial_thresholds(n_ions: int, p_entangle: float, k_star: int,
@@ -196,6 +242,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
     """Wilson score interval (lower, upper) for `successes` of `trials`,
     clipped to [0, 1]."""
     successes, trials = as_int("successes", successes), as_int("trials", trials)
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be finite and positive, got {z!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:

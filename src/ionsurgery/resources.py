@@ -138,6 +138,8 @@ def p_onepair(p_entangle: float, attempts: int) -> float:
 def binomial_tail_geq(n: int, p: float, k: int) -> float:
     """P(X >= k) for X ~ Binomial(n, p), via the regularized incomplete beta."""
     n, k = as_int("n", n), as_int("k", k)
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if not (0 <= k <= n + 1):
         raise ValueError("k must lie in 0..n+1")
     if not (0 <= p <= 1):
@@ -243,6 +245,8 @@ def attempts_required(n_ions: int, p_entangle: float, k_star: int,
                       p_ls: float) -> int:
     """Smallest attempt budget A with P(X >= k_star | n_ions, A) >= p_ls."""
     n_ions, k_star = as_int("n_ions", n_ions), as_int("k_star", k_star)
+    if n_ions < 0:
+        raise ValueError("n_ions must be non-negative")
     if not 0 < p_entangle <= 1:
         raise ValueError("p_entangle must be in (0, 1]")
     if not 0 < p_ls <= 1:

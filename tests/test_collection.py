@@ -1,6 +1,8 @@
 """Monte Carlo collection oracle: determinism, analytic agreement, brackets."""
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,10 @@ def test_wilson_interval_reference_values():
                                      (True, 10, "successes")):
         with pytest.raises(ValueError, match=f"^{field} must"):
             wilson_interval(successes, trials)
+    # these used to give (nan, nan), and a lower end above the upper one
+    for z in (float("nan"), -1.0, 0.0, float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^z must be finite and positive"):
+            wilson_interval(50, 100, z)
 
 
 def _textbook_wilson(successes, trials, z):
@@ -264,12 +270,98 @@ def test_draws_do_not_depend_on_the_block_size(monkeypatch, n, p):
 
 @pytest.mark.parametrize("n, trials", [(1, 20000), (45, 2000), (1000, 2000), (2 ** 17, 3)])
 def test_a_block_holds_at_most_block_draws_unless_one_trial_needs_more(n, trials):
-    from ionsurgery.collection import BLOCK_DRAWS, _first_success_draws
+    from ionsurgery.collection import BLOCK_DRAWS, _reduce_draws
 
-    _, blocks = _first_success_draws(n, 2.18e-4, trials, 1)
-    rows = [draws.shape[0] for _, draws in blocks]
+    rows = []
+
+    def record(_rows, draws, mask):
+        assert mask.shape == draws.shape
+        rows.append(draws.shape[0])
+
+    _reduce_draws(n, 2.18e-4, trials, 1, record)
     assert sum(rows) == trials
     assert max(rows) == min(max(BLOCK_DRAWS // n, 1), CHUNK, trials)
+
+
+@pytest.mark.parametrize("p, attempts", [(2.18e-4, 5000), (0.5, 2)])
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, p, attempts):
+    # four chunks, the last one ragged, on 1, 2 and 3 workers: fewer workers
+    # than chunks, so some worker runs two streams, each in several blocks
+    from ionsurgery import collection
+    from ionsurgery.collection import _trial_thresholds
+
+    trials = 3 * CHUNK + 100
+    got = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(collection, "_usable_cpus", lambda w=workers: w)
+        got.append((simulate_collection(TrialConfig(9, p, attempts, trials, 5)).counts.tobytes(),
+                    _trial_thresholds(9, p, 5, trials, 6).tobytes(),
+                    empirical_attempts_bracket(9, p, 5, 0.9, trials, 7)))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_concurrent_calls_give_the_serial_counts(monkeypatch):
+    # every buffer and pool belongs to the call: two threads, each running
+    # its own config on two workers, overlap calls of different shapes
+    from ionsurgery import collection
+
+    monkeypatch.setattr(collection, "_usable_cpus", lambda: 2)
+    configs = [TrialConfig(45, 2.18e-4, 20000, 2 * CHUNK + 100, 3),
+               TrialConfig(9, 0.5, 2, 3 * CHUNK, 4)]
+    serial = [simulate_collection(c).counts.tobytes() for c in configs]
+    start = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def worker(i):
+        for _ in range(5):
+            start.wait()
+            got[i].append(simulate_collection(configs[i]).counts.tobytes())
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[serial[0]] * 5, [serial[1]] * 5]
+
+
+def test_a_worker_exception_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
+    from ionsurgery import collection
+
+    monkeypatch.setattr(collection, "_usable_cpus", lambda: 3)
+    caller = threading.current_thread()
+    before = threading.active_count()
+
+    def reduce(rows, draws, mask):
+        if threading.current_thread() is not caller:
+            raise RuntimeError(f"worker failed at trial {rows.start}")
+
+    with pytest.raises(RuntimeError, match="worker failed"):
+        collection._reduce_draws(9, 2.18e-4, 3 * CHUNK, 1, reduce)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, trials", [(None, 4 * CHUNK), (1, 3 * CHUNK), (2, 3 * CHUNK),
+                                          (8, 3 * CHUNK), (8, CHUNK)])
+def test_a_call_runs_at_most_one_thread_per_cpu_and_chunk(monkeypatch, cpus, trials):
+    from ionsurgery import collection
+
+    if cpus is None:  # this host's own count
+        cpus = collection._usable_cpus()
+    else:
+        monkeypatch.setattr(collection, "_usable_cpus", lambda c=cpus: c)
+    before = threading.active_count()
+    seen = []
+    collection._reduce_draws(9, 2.18e-4, trials, 1,
+                             lambda rows, draws, mask: seen.append(threading.active_count()))
+    assert max(seen) <= before + min(cpus, -(-trials // CHUNK))
+    assert threading.active_count() == before
 
 
 def test_z99_is_the_scipy_normal_quantile():

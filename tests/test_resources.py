@@ -121,11 +121,10 @@ def test_query_validation():
 # multiplexing and pair demand
 
 def test_multiplexing_k_reference_point():
-    t0 = time.perf_counter()
-    k = multiplexing_k(0.819, 0.999)
-    dt = time.perf_counter() - t0
-    assert k == 5
-    assert dt < 1e-3
+    # the log-space first guess is already the answer, so neither correction
+    # loop takes a step: the fast path, checked without a wall-clock bound
+    assert math.ceil(math.log1p(-0.999) / math.log1p(-0.819)) == 5
+    assert multiplexing_k(0.819, 0.999) == 5
 
 
 def test_multiplexing_k_is_the_minimal_k():
@@ -221,6 +220,12 @@ def test_binomial_tail_edges():
     with pytest.raises(ValueError, match="^k_star must be an integer"):
         attempts_required(10, 0.5, 5.0, 0.9)
     assert binomial_tail_geq(np.int64(10), 0.3, np.int64(3)) == binomial_tail_geq(10, 0.3, 3)
+    # a negative count used to pass through the k == 0 shortcut as 1.0
+    for n, k in ((-1, 0), (-1, 1), (-5, 0)):
+        with pytest.raises(ValueError, match="^n must be non-negative"):
+            binomial_tail_geq(n, 0.5, k)
+    assert binomial_tail_geq(0, 0.5, 0) == 1.0
+    assert binomial_tail_geq(0, 0.5, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +335,11 @@ def test_attempts_required_edges():
             attempts_required(10, 0.5, 5, p_ls)
         with pytest.raises(ValueError):
             attempts_required(50, 0.5, 0, p_ls)
+    # a negative ion count used to pass through the k_star < 1 shortcut as 0
+    for n_ions, k_star in ((-3, 0), (-3, 1), (-1, -1)):
+        with pytest.raises(ValueError, match="^n_ions must be non-negative"):
+            attempts_required(n_ions, 0.5, k_star, 0.9)
+    assert attempts_required(0, 0.5, 0, 0.9) == 0
 
 
 def test_attempts_required_stops_at_the_search_limit():
