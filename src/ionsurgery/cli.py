@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", default="stephenson",
                    help="stephenson | werner:F | belldiag:F,px,pz,py")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
-    _add_common(q, strict=False)
+    q.add_argument("--output", default=None, help="write the JSON report to file")
     q.set_defaults(fn=_cmd_purify_simulate)
 
     q = psub.add_parser("search", help="evolve a purification circuit")
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     q.add_argument("--circuit-out", default=None,
                    help="also write the best circuit JSON here")
-    _add_common(q, strict=False)
+    q.add_argument("--output", default=None, help="write the JSON report to file")
     q.set_defaults(fn=_cmd_purify_search, flags={
         "n_pairs": "--n", "population_size": "--pop", "generations": "--gens",
         "seed": "--seed"})

@@ -289,8 +289,9 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     Depolarizing noise follows every gate on exactly its qubits (p1 single,
     p2 two-qubit); measurement records pass through a p_meas bitflip.
     Once a measurement writes the last record of an accept rule, every
-    branch that breaks the rule is pruned; the survivors are kept apart and
-    summed in record order at the end.
+    branch that breaks the rule is pruned.  The branches are one stack in
+    record order: a measurement is one `_measure_raw` call on all of them,
+    a gate runs in place on each, and the survivors are summed in order.
     Returns the accept-conditioned pair-0 marginal next to its fidelity and
     the total success probability.
     """
@@ -300,7 +301,9 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     state = _joint_state(*(m.tobytes() for m in mats))
 
     alive = list(range(n))  # qubit id -> position alive.index(id)
-    branches = [(state, {})]  # unnormalized: trace == path probability
+    # the branches: a writable copy stacked in record order, unnormalized
+    # (trace == path probability); row i was written down as records[i]
+    branches, records = state.copy()[None], [{}]
     written = set()  # record labels measured so far
     pending = list(circuit.accept)  # rules still waiting for one of their records
     # the two-pass gate kernels' scratch at the current width; it belongs to
@@ -319,17 +322,17 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
             done = [r for r in pending if r.label_i in written and r.label_j in written]
             pending = [r for r in pending if r not in done]
             pm = noise.p_meas
-            nxt = []
-            for s, rec in branches:
-                s0, s1 = _measure_raw(s, op.basis, pos, m)
-                rec0, rec1 = {**rec, label: 0}, {**rec, label: 1}
-                # record bitflip mixes which outcome is written down; a
-                # branch that breaks a now-complete accept rule is dropped
-                if _accepted(done, rec0):
-                    nxt.append(((1 - pm) * s0 + pm * s1, rec0))
-                if _accepted(done, rec1):
-                    nxt.append(((1 - pm) * s1 + pm * s0, rec1))
-            branches = nxt
+            s0, s1 = _measure_raw(branches, op.basis, pos, m)
+            # record bitflip mixes which outcome is written down; each branch's
+            # outcome 0 row is followed by its outcome 1 row, and a row that
+            # breaks a now-complete accept rule is dropped
+            mixed = np.empty((2 * len(s0), *s0.shape[1:]), dtype=complex)
+            np.add((1 - pm) * s0, pm * s1, out=mixed[0::2])
+            np.add((1 - pm) * s1, pm * s0, out=mixed[1::2])
+            recs = [{**rec, label: b} for rec in records for b in (0, 1)]
+            keep = [i for i, rec in enumerate(recs) if _accepted(done, rec)]
+            branches = mixed if len(keep) == len(mixed) else mixed[keep]
+            records = [recs[i] for i in keep]
             alive.remove(q)
             continue
         if isinstance(op, TwoQubitGate):
@@ -339,26 +342,21 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
         else:
             pos = [alive.index(off + op.pair)]
             gate, args, p = _apply_unitary_raw, (clifford_unitary(op.index), *pos), noise.p1
-        nxt = []
-        for s, rec in branches:
-            # the gate and its noise run in place on this call's own arrays;
-            # on the read-only joint state the gate writes a new one
-            out = np.empty_like(s) if s is state else s
+        for s in branches:  # the gate and its noise run in place on each row
             if gate is _cz_raw:
-                gate(s, *args, m, out=out)
+                gate(s, *args, m, out=s)
             else:
                 if work is None:
                     work = np.empty((2, *s.shape), dtype=complex)
-                gate(s, *args, m, out=out, work=work)
-            nxt.append((_depolarize_raw(out, p, pos, m, out=out), rec))
-        branches = nxt
+                gate(s, *args, m, out=s, work=work)
+            _depolarize_raw(s, p, pos, m, out=s)
 
     # alive only loses entries, so A0 still precedes B0
     m = len(alive)
     out_pos = [alive.index(0), alive.index(n_pairs)]
     total = np.zeros((4, 4), dtype=complex)
     p_succ = 0.0
-    for s, _ in branches:
+    for s in branches:
         p_succ += float(np.trace(s).real)
         total += _partial_trace_raw(s, out_pos, m)
 

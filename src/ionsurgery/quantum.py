@@ -272,13 +272,14 @@ def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int):
     Returns (s0, s1), the +1 and -1 branches with q traced out.  Each is
     read off the four (ket_q, bra_q) blocks tab of rho, through the same
     addition tree as projecting with `_project_raw` and then tracing q out
-    with `_partial_trace_raw`, so the two agree bit for bit.
+    with `_partial_trace_raw`, so the two agree bit for bit.  On a stack
+    (B, 2^n, 2^n), s0 and s1 are stacks of B, each matrix measured alone.
     """
     lo, hi = 2 ** q, 2 ** (n - 1 - q)
-    t = rho.reshape(lo, 2, hi, lo, 2, hi)
+    t = rho.reshape(*rho.shape[:-2], lo, 2, hi, lo, 2, hi)
 
     def block(a, b):
-        return t[:, a, :, :, b, :]
+        return t[..., :, a, :, :, b, :]
 
     if basis == "Z":
         s0, s1 = block(0, 0).copy(), block(1, 1).copy()
@@ -293,7 +294,7 @@ def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int):
         else:
             raise ValueError("basis must be one of X, Y, Z")
     d = lo * hi
-    return s0.reshape(d, d), s1.reshape(d, d)
+    return s0.reshape(*rho.shape[:-2], d, d), s1.reshape(*rho.shape[:-2], d, d)
 
 
 @functools.lru_cache(maxsize=None)

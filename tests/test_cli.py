@@ -471,6 +471,21 @@ def test_bad_input_spec_exits_2(capsys, tmp_path):
         assert exc.value.code == 2
 
 
+def test_purify_reports_take_no_format_flag(capsys, tmp_path):
+    # simulate and search always write JSON; only the benchmark table has a format
+    path = tmp_path / "c.json"
+    isg.save_circuit(isg.bbpssw_circuit(), path)
+    for argv in (["simulate", "--circuit", str(path)], ["search", "--n", "2"]):
+        for fmt in ("csv", "json"):
+            with pytest.raises(SystemExit) as exc:
+                main(["purify", *argv, "--format", fmt])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
+    code, out = run(capsys, ["purify", "benchmark", "--circuits", str(tmp_path),
+                             "--format", "json"])
+    assert code == 0 and json.loads(out)[0]["n_pairs"] == 2
+
+
 def test_circuit_file_with_unknown_key_or_float_count_exits_2(capsys, tmp_path):
     raw = isg.bbpssw_circuit().to_dict()
     op = raw["ops"][0]

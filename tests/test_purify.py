@@ -397,6 +397,26 @@ def test_snapshot_recorder_yields_the_stored_cases():
     assert got == [(r["name"], r["circuit"], r["input"], r["noise"]) for r in records]
 
 
+INTERLEAVED = Path(__file__).parent / "data" / "interleaved_pins.json"
+
+
+def test_interleaved_circuits_match_their_pins_bit_for_bit():
+    # recorded by tests/record_interleaved_pins.py before the branches were
+    # held as one stack: gates on several branches, unmeasured ancillas
+    from record_interleaved_pins import cases
+    from record_simulate_snapshot import outputs
+
+    records = json.loads(INTERLEAVED.read_text())
+    got = [(name, circ.to_dict(), inp, noise) for name, circ, inp, noise in cases()]
+    assert got == [(r["name"], r["circuit"], r["input"], r["noise"]) for r in records]
+    mismatched = []
+    for rec in records:
+        got = outputs(PurificationCircuit.from_dict(rec["circuit"]), rec["input"], rec["noise"])
+        if any(got[k] != rec[k] for k in got):
+            mismatched.append((rec["name"], rec["input"], rec["noise"]))
+    assert mismatched == []
+
+
 FRESH_SIMULATE = """
 import sys
 import ionsurgery as isg
@@ -472,15 +492,17 @@ def test_rejected_branches_are_pruned_as_soon_as_a_rule_completes(monkeypatch):
     measure = purify._measure_raw
 
     def counting(rho, basis, q, n):
-        calls.append(n)
+        calls.append((n, len(rho)))
         return measure(rho, basis, q, n)
 
     monkeypatch.setattr(purify, "_measure_raw", counting)
     circ = isg.load_circuit(CIRCUITS / "ga_4to1.json")
     out = isg.simulate(circ, isg.stephenson_pair(rotated=True), isg.DEVICE_NOISE)
-    # A then B of pairs 1, 2, 3 on 8, 7, ... qubits: each B record completes
-    # that pair's rule and halves the branches, so 21 measurements, not 63
-    assert calls == [8] + [7] * 2 + [6] * 2 + [5] * 4 + [4] * 4 + [3] * 8
+    # (width, branches) of each call: one call per measurement, on every
+    # branch.  A then B of pairs 1, 2, 3 on 8, 7, ... qubits: each B record
+    # completes that pair's rule and halves the branches, so 21 branch
+    # measurements in all, not 63
+    assert calls == [(8, 1), (7, 2), (6, 2), (5, 4), (4, 4), (3, 8)]
     assert 0 < out.success_probability < 1
 
 

@@ -343,6 +343,31 @@ def test_fast_kernels_are_bitwise_equal(n):
     check_kernels(random_psd(rng, n), n, pairs, range(n))
 
 
+def signed_zeros(rng, shape):
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.choice([0.0, -0.0], size=shape)
+    z.imag = rng.choice([0.0, -0.0], size=shape)
+    return z
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_measuring_a_stack_gives_each_matrix_its_own_bits(n):
+    # `simulate` measures every branch in one call on a (B, d, d) stack;
+    # compared as uint64, so the sign of a zero counts
+    rng = np.random.default_rng(300 + n)
+    rho = random_psd(rng, n)
+    sparse = np.where(rng.random(rho.shape) < 0.5, rho, signed_zeros(rng, rho.shape))
+    stack = np.stack([rho, sparse, random_psd(rng, n)])
+    for q in range(n):
+        for basis in "XYZ":
+            got = Q._measure_raw(stack, basis, q, n)
+            for b, one in enumerate(stack):
+                for s, want in zip(got, Q._measure_raw(one, basis, q, n)):
+                    assert s.shape == (3, *want.shape)
+                    assert np.array_equal(np.ascontiguousarray(s[b]).view(np.uint64),
+                                          np.ascontiguousarray(want).view(np.uint64))
+
+
 def test_fast_kernels_are_bitwise_equal_at_ten_qubits():
     rng = np.random.default_rng(110)
     rho = random_psd(rng, 10)
