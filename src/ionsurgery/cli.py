@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .collection import TrialConfig, empirical_attempts_bracket, simulate_collection
-from .ga import GaConfig, benchmark_sweep, resolve_input, search
+from .ga import GaConfig, benchmark_sweep, search
 from .purify import load_circuit, save_circuit, simulate
 from .quantum import DEVICE_NOISE, IDEAL_NOISE, BellDiagonalState
 from .resources import (
@@ -105,8 +105,9 @@ def _device(args):
 
 
 def _parse_input(text: str):
-    if text == "stephenson":
-        return resolve_input("stephenson")
+    """--input as an input spec: werner:F and belldiag:F,px,pz,py give a
+    BellDiagonalState; any other text, such as stephenson, is passed on as it
+    is, and simulate and search reject a name they do not know."""
     try:
         if text.startswith("werner:"):
             f = float(text.split(":", 1)[1])
@@ -117,8 +118,7 @@ def _parse_input(text: str):
             return BellDiagonalState(f, px, pz, py)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad --input spec {text!r}: {exc}") from None
-    raise ValueError(f"bad --input spec {text!r} "
-                     "(expected stephenson | werner:F | belldiag:F,px,pz,py)")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +142,28 @@ def _emit(chunks, path) -> None:
         raise ValueError(f"cannot write output: {exc}") from None
 
 
-def _table(rows, columns: dict, fmt: str, path) -> None:
-    """rows: any iterable of dicts of native values, formatted and written
-    TABLE_CHUNK at a time.  The CSV has one column per `columns` key,
-    formatted by its value; the JSON is json.dumps(list(rows), indent=2)."""
+def _table(rows, columns: dict, args) -> int:
+    """Write rows, any iterable of dicts of native values, in args.format to
+    args.output, formatted and written TABLE_CHUNK at a time; return the exit
+    code, 1 under --strict when no row was feasible, else 0.  The CSV has one
+    column per `columns` key, formatted by its value; the JSON is
+    json.dumps(list(rows), indent=2)."""
     rows = iter(rows)
-    batches = iter(lambda: list(itertools.islice(rows, TABLE_CHUNK)), [])
-    if fmt == "json":
-        _emit(_json_list(batches), path)
-        return
-    lines = ("".join(",".join(f(r[k]) for k, f in columns.items()) + "\n" for r in b)
-             for b in batches)
-    _emit(itertools.chain((",".join(columns) + "\n",), lines), path)
+    feasible = set()  # the rows' "feasible" values, noted as they stream
+
+    def batch():
+        b = list(itertools.islice(rows, TABLE_CHUNK))
+        feasible.update(r.get("feasible") for r in b)
+        return b
+
+    batches = iter(batch, [])
+    if args.format == "json":
+        _emit(_json_list(batches), args.output)
+    else:
+        lines = ("".join(",".join(f(r[k]) for k, f in columns.items()) + "\n" for r in b)
+                 for b in batches)
+        _emit(itertools.chain((",".join(columns) + "\n",), lines), args.output)
+    return 1 if getattr(args, "strict", False) and True not in feasible else 0
 
 
 def _json_list(batches):
@@ -176,11 +186,6 @@ def _fmt_rate(r: float) -> str:
     return "0.0" if r == 0 else f"{r:.10g}"
 
 
-def _strict_exit(args, feasible) -> int:
-    """feasible: flags whose any() is True when some result row is feasible."""
-    return 1 if args.strict and not any(feasible) else 0
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -195,9 +200,8 @@ def _cmd_min_ions(args) -> int:
             res = min_ions(q, dev)
             rows.append({"distance": d, "cycle_time_us": t * 1e6,
                          "min_ions": res.answer, "feasible": res.feasible})
-    _table(rows, {"distance": str, "cycle_time_us": "{:g}".format, "min_ions": str,
-                  "feasible": _fmt_bool}, args.format, args.output)
-    return _strict_exit(args, (r["feasible"] for r in rows))
+    return _table(rows, {"distance": str, "cycle_time_us": "{:g}".format,
+                         "min_ions": str, "feasible": _fmt_bool}, args)
 
 
 def _cmd_rate(args) -> int:
@@ -211,9 +215,7 @@ def _cmd_rate(args) -> int:
             rows.append({"distance": d, "n_ions": n, "rate_hz": res.rate_hz,
                          "full_surgery_rate_hz": res.full_surgery_rate_hz,
                          "feasible": res.feasible})
-    _table(rows, {"distance": str, "n_ions": str, "rate_hz": _fmt_rate},
-           args.format, args.output)
-    return _strict_exit(args, (r["feasible"] for r in rows))
+    return _table(rows, {"distance": str, "n_ions": str, "rate_hz": _fmt_rate}, args)
 
 
 def _cmd_sweep(args) -> int:
@@ -227,18 +229,10 @@ def _cmd_sweep(args) -> int:
         grid = np.geomspace(args.pc_from, args.pc_to, args.points).tolist()
     cells = sweep_coupling(args.distances, args.cycle_times_us, grid, dev,
                            paper_compat=args.paper_compat)
-    any_feasible = False
-
-    def rows():  # streamed from the solver; --strict reads what was written
-        nonlocal any_feasible
-        for d, t, pc, answer, feasible in cells:
-            any_feasible |= feasible
-            yield {"distance": d, "cycle_time_us": t * 1e6, "p_c": pc,
-                   "min_ions": answer, "feasible": feasible}
-
-    _table(rows(), {"distance": str, "cycle_time_us": "{:g}".format,
-                    "p_c": "{:.9g}".format, "min_ions": str}, args.format, args.output)
-    return _strict_exit(args, (any_feasible,))
+    rows = ({"distance": d, "cycle_time_us": t * 1e6, "p_c": pc, "min_ions": answer,
+             "feasible": feasible} for d, t, pc, answer, feasible in cells)
+    return _table(rows, {"distance": str, "cycle_time_us": "{:g}".format,
+                         "p_c": "{:.9g}".format, "min_ions": str}, args)
 
 
 def _cmd_purify_simulate(args) -> int:
@@ -291,10 +285,8 @@ def _cmd_purify_benchmark(args) -> int:
     rows = [{"n_pairs": row.n_pairs, "success_probability": row.success_probability,
              "output_fidelity": row.output_fidelity, "circuit_path": str(p)}
             for p, row in zip(paths, benchmark_sweep(circuits, NOISE[args.noise]))]
-    _table(rows, {"n_pairs": str, "success_probability": "{:.6f}".format,
-                  "output_fidelity": "{:.6f}".format, "circuit_path": str},
-           args.format, args.output)
-    return 0
+    return _table(rows, {"n_pairs": str, "success_probability": "{:.6f}".format,
+                         "output_fidelity": "{:.6f}".format, "circuit_path": str}, args)
 
 
 def _validate_ks(n: int, mean: float) -> list:
@@ -421,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stephenson | werner:F | belldiag:F,px,pz,py")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     q.add_argument("--output", default=None, help="write the JSON report to file")
-    q.set_defaults(fn=_cmd_purify_simulate)
+    # simulate and search reject an unknown --input name as "unknown input spec"
+    q.set_defaults(fn=_cmd_purify_simulate, flags={"unknown": "--input"})
 
     q = psub.add_parser("search", help="evolve a purification circuit")
     q.add_argument("--n", type=int, default=3, help="input pairs per circuit")
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None, help="write the JSON report to file")
     q.set_defaults(fn=_cmd_purify_search, flags={
         "n_pairs": "--n", "population_size": "--pop", "generations": "--gens",
-        "seed": "--seed"})
+        "seed": "--seed", "unknown": "--input"})
 
     q = psub.add_parser("benchmark", help="re-simulate a circuit directory")
     q.add_argument("--circuits", required=True, help="directory of circuit JSON")

@@ -30,15 +30,10 @@ from .purify import (
     ProtocolOutcome,
     SingleQubitClifford,
     TwoQubitGate,
+    resolve_input,
     simulate,
 )
-from .quantum import (
-    BellDiagonalState,
-    CLIFFORD_CONJUGATE_PARTNER,
-    DensityMatrix,
-    NoiseModel,
-    stephenson_pair,
-)
+from .quantum import CLIFFORD_CONJUGATE_PARTNER, NoiseModel, stephenson_pair
 
 MIN_SUCCESS = 0.01  # circuits succeeding less often than this score zero
 MUTATION_RATE = 0.1  # per-site; sites = gates + bases + relations
@@ -72,21 +67,6 @@ class RankedCircuit:
     circuit: PurificationCircuit
     fitness: float
     outcome: ProtocolOutcome
-
-
-def resolve_input(spec) -> DensityMatrix:
-    """Accept 'stephenson', a BellDiagonalState, or a 2-qubit DensityMatrix."""
-    if isinstance(spec, str):
-        if spec == "stephenson":
-            return stephenson_pair(rotated=True)
-        raise ValueError(f"unknown input spec {spec!r}")
-    if isinstance(spec, BellDiagonalState):
-        return spec.to_density_matrix()
-    if isinstance(spec, DensityMatrix):
-        if spec.num_qubits != 2:
-            raise ValueError("input state must be a 2-qubit state")
-        return spec
-    raise TypeError("input spec must be 'stephenson', BellDiagonalState or DensityMatrix")
 
 
 def _score(out: ProtocolOutcome) -> float:
@@ -237,13 +217,9 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
         scored = sorted(((evaluate(g).fitness, i, g) for i, g in enumerate(pop)),
                         key=lambda t: (-t[0], t[1]))
 
-        def tournament():
-            best = None
-            for _ in range(3):
-                pick = scored[int(rng.integers(config.population_size))]
-                if best is None or (pick[0], -pick[1]) > (best[0], -best[1]):
-                    best = pick
-            return best[2]
+        def tournament():  # the best of three draws sits first in `scored`
+            return scored[min(int(rng.integers(config.population_size))
+                              for _ in range(3))][2]
 
         nxt = [g for _, _, g in scored[:n_elite]]
         while len(nxt) < config.population_size:

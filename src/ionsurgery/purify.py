@@ -30,6 +30,7 @@ from .quantum import (
     _project_raw,  # noqa: F401  unused here, but perfbench/spans.py wraps it by this name
     clifford_unitary,
     fidelity_to_bell,
+    stephenson_pair,
 )
 
 SIDES = ("A", "B")
@@ -232,22 +233,34 @@ class ProtocolOutcome:
 # ---------------------------------------------------------------------------
 # simulator
 
-def _as_pair_matrix(state) -> np.ndarray:
-    if isinstance(state, BellDiagonalState):
-        state = state.to_density_matrix()
-    m = state.entries if isinstance(state, DensityMatrix) else np.asarray(state, complex)
-    if m.shape != (4, 4):
-        raise ValueError("each input must be a 2-qubit state")
-    return m
+def resolve_input(spec) -> DensityMatrix:
+    """One input pair: 'stephenson' (the rotated measured pair), a
+    BellDiagonalState, a 2-qubit DensityMatrix or its 4x4 entries."""
+    if isinstance(spec, str):
+        if spec == "stephenson":
+            return stephenson_pair(rotated=True)
+        raise ValueError(f"unknown input spec {spec!r}")
+    if isinstance(spec, BellDiagonalState):
+        return spec.to_density_matrix()
+    if not isinstance(spec, DensityMatrix):
+        if np.ndim(spec) != 2:
+            raise TypeError("input spec must be 'stephenson', a BellDiagonalState, "
+                            "a 2-qubit DensityMatrix or its 4x4 entries")
+        return DensityMatrix(2, spec)
+    if spec.num_qubits != 2:
+        raise ValueError("input state must be a 2-qubit state")
+    return spec
 
 
-def _resolve_inputs(inputs, n_pairs: int) -> list:
-    if isinstance(inputs, (DensityMatrix, BellDiagonalState)):
-        return [_as_pair_matrix(inputs)] * n_pairs
+def _pair_inputs(inputs, n_pairs: int) -> list:
+    """The 4x4 entries of each pair: one input spec for all, or n_pairs of them."""
+    if isinstance(inputs, (str, BellDiagonalState, DensityMatrix)) or (
+            isinstance(inputs, np.ndarray) and inputs.ndim == 2):
+        return [resolve_input(inputs).entries] * n_pairs
     seq = list(inputs)
     if len(seq) != n_pairs:
         raise ValueError(f"need {n_pairs} input states, got {len(seq)}")
-    return [_as_pair_matrix(s) for s in seq]
+    return [resolve_input(s).entries for s in seq]
 
 
 @functools.lru_cache(maxsize=1)
@@ -284,8 +297,9 @@ def _accepted(rules, rec: dict) -> bool:
 def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> ProtocolOutcome:
     """Exact noisy run over the accepted measurement branches, closed-form depolarizing.
 
-    `inputs` is one shared 2-qubit DensityMatrix or a length-n_pairs list;
-    each must pass `DensityMatrix.validate` or ValueError is raised.
+    `inputs` is one input spec shared by every pair, as `resolve_input`
+    takes, or a length-n_pairs list of them; each state must pass
+    `DensityMatrix.validate` or ValueError is raised.
     Depolarizing noise follows every gate on exactly its qubits (p1 single,
     p2 two-qubit); measurement records pass through a p_meas bitflip.
     Once a measurement writes the last record of an accept rule, every
@@ -297,7 +311,7 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     """
     n_pairs = circuit.n_pairs
     n = 2 * n_pairs
-    mats = _resolve_inputs(inputs, n_pairs)
+    mats = _pair_inputs(inputs, n_pairs)
     state = _joint_state(*(m.tobytes() for m in mats))
 
     alive = list(range(n))  # qubit id -> position alive.index(id)

@@ -208,8 +208,9 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
     lam = p * d^2/(d^2-1), d = 2^k.  The second term is nonzero only on the
     2^k blocks where the targets' ket and bra bits agree, so it is added into
     those blocks of (1-lam) rho instead of being built at full size.  The
-    reduced state is summed into fresh arrays before rho is scaled into
-    `out`.  With p == 0 and `out=None`, rho itself is returned.
+    reduced state is summed into fresh arrays, and scaled in place, before
+    rho is scaled into `out`.  With p == 0 and `out=None`, rho itself is
+    returned.
     """
     if p == 0.0:
         if out is None:
@@ -221,17 +222,18 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
     lam = p * dim * dim / (dim * dim - 1)
     shape, diag = _depolarize_plan(tuple(targets), n)
     if k == n:
-        red = np.trace(rho)
+        mixed = lam * (np.trace(rho) / dim)
     else:
         # trace the highest target first, as nested np.trace calls do
         view = rho.reshape(shape)
         red = [view[idx] for idx in diag]
         while len(red) > 1:
             red = [a + b for a, b in zip(red[::2], red[1::2])]
-        red = red[0]
+        # a sum of at least two blocks, so a fresh array: scale it in place
+        mixed = np.true_divide(red[0], dim, out=red[0])
+        np.multiply(lam, mixed, out=mixed)
     out = np.multiply(1 - lam, rho, out=out)
     blocks = out.reshape(shape)
-    mixed = lam * (red / dim)
     for idx in diag:
         blocks[idx] += mixed
     return out

@@ -174,7 +174,7 @@ def _search_min(pred, lo, *cols) -> np.ndarray:
     """Per cell, the smallest integer >= lo[i] satisfying a monotone predicate.
 
     pred(m, *rows) tests probe m[j] of the cell whose entries of the per-cell
-    arrays `cols` are rows[.][j]; without `cols` it gets the cell indices.
+    arrays `cols` are rows[.][j].
     All cells advance in lockstep, and each sees the probes of a scalar
     search: lo, then doubling from max(lo, 1), then bisection.  So every
     answer is the scalar answer, also where a floating-point predicate is not
@@ -185,7 +185,6 @@ def _search_min(pred, lo, *cols) -> np.ndarray:
     call a probe costs a few small ufuncs and no gather or scatter.
     """
     lo = np.array(lo, dtype=np.int64)
-    cols = cols or (np.arange(lo.size),)
     found = pred(lo, *cols)
     # a failed lo >= 1 is also the first doubling probe, so start at 2 lo
     hi = np.where(found, lo, np.maximum(2 * lo, 1))
@@ -256,7 +255,7 @@ def attempts_required(n_ions: int, p_entangle: float, k_star: int,
     if k_star > n_ions:
         raise ValueError("infeasible: k_star exceeds n_ions")
 
-    def pred(attempts, _cells):
+    def pred(attempts):
         return np.array([binomial_tail_geq(n_ions, p_onepair(p_entangle, int(a)), k_star)
                          >= p_ls for a in attempts])
 

@@ -10,7 +10,11 @@ outputs: F, p, the real parts of the four diagonal entries of the output
 state (`float.hex`) and the SHA-256 of the whole output state.  The circuits
 are the three frozen GA circuits, BBPSSW and DEJMPS on both inputs under both
 noise presets, then 120 seeded mutated GA genomes at n=3 and n=4 (random
-X/Y/Z bases and both accept relations) under three noise levels.
+X/Y/Z bases and both accept relations) under three noise levels, then three
+interleaved circuits on both inputs under the device and heavy noise.  The
+interleaved circuits measure before their last gate, so a gate runs on more
+than one branch, and leave some ancilla qubits unmeasured, so the output is
+traced down from more than the output pair.
 """
 from __future__ import annotations
 
@@ -24,8 +28,13 @@ import numpy as np
 from ionsurgery import (
     DEVICE_NOISE,
     IDEAL_NOISE,
+    AcceptRule,
     BellDiagonalState,
+    Measure,
     NoiseModel,
+    PurificationCircuit,
+    SingleQubitClifford,
+    TwoQubitGate,
     bbpssw_circuit,
     dejmps_circuit,
     load_circuit,
@@ -61,6 +70,48 @@ def outputs(circuit, input_name: str, noise_name: str) -> dict:
     }
 
 
+def interleaved_circuits():
+    # a pair-1 rule completes first; the second round's gates run on both
+    # surviving branches
+    yield "two_rounds_3to1", PurificationCircuit(3, (
+        TwoQubitGate("cnot", "A", 0, 1),
+        TwoQubitGate("cnot", "B", 0, 1),
+        Measure(1, "A", "Z", "a1"),
+        Measure(1, "B", "Z", "b1"),
+        SingleQubitClifford(0, "A", 5),
+        TwoQubitGate("cnot", "A", 0, 2),
+        TwoQubitGate("cz", "B", 2, 0),
+        Measure(2, "A", "X", "a2"),
+        Measure(2, "B", "X", "b2"),
+    ), (AcceptRule("a1", "b1", "coincident"), AcceptRule("a2", "b2", "anticoincident")))
+    # gates between the two halves of a rule act on four unpruned branches;
+    # pair 2 is never measured, so the output is traced down from 4 qubits
+    yield "open_ancilla_3to1", PurificationCircuit(3, (
+        TwoQubitGate("cz", "A", 1, 2),
+        TwoQubitGate("cnot", "A", 0, 1),
+        Measure(1, "A", "Y", "a1"),
+        TwoQubitGate("cnot", "B", 0, 1),
+        SingleQubitClifford(2, "B", 17),
+        TwoQubitGate("cnot", "B", 2, 0),
+        Measure(1, "B", "Y", "b1"),
+    ), (AcceptRule("a1", "b1", "anticoincident"),))
+    # an unruled record, gates on two and four branches, and pair 3's B qubit
+    # left unmeasured
+    yield "mixed_4to1", PurificationCircuit(4, (
+        TwoQubitGate("cnot", "A", 1, 2),
+        TwoQubitGate("cnot", "B", 1, 2),
+        Measure(2, "A", "X", "a2"),
+        TwoQubitGate("cz", "A", 0, 3),
+        Measure(3, "A", "Z", "a3"),
+        TwoQubitGate("cnot", "B", 0, 1),
+        SingleQubitClifford(1, "A", 11),
+        TwoQubitGate("cnot", "A", 0, 1),
+        Measure(2, "B", "X", "b2"),
+        Measure(1, "A", "Z", "a1"),
+        Measure(1, "B", "Z", "b1"),
+    ), (AcceptRule("a2", "b2", "coincident"), AcceptRule("a1", "b1", "coincident")))
+
+
 def cases():
     named = [(f"ga_{k}to1", load_circuit(REPO / "circuits" / f"ga_{k}to1.json"))
              for k in (3, 4, 5)]
@@ -77,6 +128,10 @@ def cases():
             g = _mutate(g, rng, n_pairs, 0.3)
         yield (f"random_{i:03d}", _genome_to_circuit(g, n_pairs),
                list(INPUTS)[(i // 2) % 2], list(NOISES)[i % 3])
+    for name, circ in interleaved_circuits():
+        for input_name in INPUTS:
+            for noise_name in ("device", "heavy"):
+                yield name, circ, input_name, noise_name
 
 
 def main() -> None:

@@ -469,6 +469,7 @@ def test_bad_input_spec_exits_2(capsys, tmp_path):
             main(["purify", "simulate", "--circuit", str(path),
                   "--input", spec])
         assert exc.value.code == 2
+        assert "--input" in capsys.readouterr().err
 
 
 def test_purify_reports_take_no_format_flag(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Package surface: the public name list and the cost of importing it."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -65,6 +66,26 @@ def test_every_name_the_benchmark_traces_resolves():
     missing = [f"{m}.{a}" for m, a in pairs
                if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # a dead import hides which module a rule lives in; the package's own
+    # imports are its public names, and a name the benchmark wraps where it
+    # is imported carries "# noqa: F401"
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                if "# noqa: F401" not in lines[alias.lineno - 1]}
+    exempt = set(isg.__all__) if path.name == "__init__.py" else set()
+    assert sorted(imported - used - exempt) == []
 
 
 @pytest.mark.parametrize("make, fields", [

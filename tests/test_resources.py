@@ -495,7 +495,7 @@ def test_lockstep_search_repeats_the_scalar_probes():
     table = rng.random((200, 1024)) < np.linspace(0.02, 0.9, 1024)
     table[:, 512:] = True  # every doubling stops below 1024
     lo = rng.integers(0, 40, size=200)
-    got = _search_min(lambda m, cells: table[cells, m], lo)
+    got = _search_min(lambda m, cells: table[cells, m], lo, np.arange(200))
     want = [_scalar_search_min(lambda m: table[i, m], int(lo[i])) for i in range(200)]
     assert got.tolist() == want
     # per-cell arrays reach the predicate row-aligned with the probes
@@ -507,9 +507,10 @@ def test_lockstep_search_repeats_the_scalar_probes():
 def test_lockstep_search_stops_at_its_limit():
     from ionsurgery.resources import SEARCH_LIMIT, _search_min
 
-    assert _search_min(lambda m, _: m >= SEARCH_LIMIT, [1]).tolist() == [SEARCH_LIMIT]
+    top = _search_min(lambda m, _: m >= SEARCH_LIMIT, [1], np.arange(1))
+    assert top.tolist() == [SEARCH_LIMIT]
     with pytest.raises(ValueError):
-        _search_min(lambda m, _: m > SEARCH_LIMIT, [1])
+        _search_min(lambda m, _: m > SEARCH_LIMIT, [1], np.arange(1))
 
 
 def test_attempts_required_names_p_entangle_when_the_search_runs_out():
