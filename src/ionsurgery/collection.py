@@ -146,7 +146,7 @@ def _reduce_draws(n_ions: int, p_entangle: float, trials: int, seed: int,
     if workers == 1:
         work(0)
         return
-    # loaded on the first threaded call only, as resources._tail loads SciPy
+    # loaded on the first threaded call only
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers - 1) as pool:

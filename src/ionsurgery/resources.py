@@ -7,8 +7,9 @@ P_pair.  Within one cycle of T seconds a device pulsing at R Hz makes
 A = floor(T*R) entanglement attempts per communication ion, each succeeding
 with probability p_c, so one ion holds a pair with P_onepair = 1-(1-p_c)^A.
 The two integer solvers invert the binomial tail over the ion count or the
-attempt budget.  SciPy's `betainc` is imported by the first call that needs
-it, so importing this module loads NumPy and the standard library only.
+attempt budget.  `_tail` evaluates that tail with NumPy alone, to about
+1e-15: Loader's saddle-point form of the first term, then the sum of term
+ratios from the side of the mean where they shrink.
 """
 from __future__ import annotations
 
@@ -136,7 +137,7 @@ def p_onepair(p_entangle: float, attempts: int) -> float:
 
 
 def binomial_tail_geq(n: int, p: float, k: int) -> float:
-    """P(X >= k) for X ~ Binomial(n, p), via the regularized incomplete beta."""
+    """P(X >= k) for X ~ Binomial(n, p), to about 1e-15 (see `_tail`)."""
     n, k = as_int("n", n), as_int("k", k)
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -148,14 +149,226 @@ def binomial_tail_geq(n: int, p: float, k: int) -> float:
         return 1.0
     if k == n + 1:
         return 0.0
-    return float(_tail(k, n, p))
+    return float(_tail(k, n, p)[0])
 
 
-def _tail(k, n, p):
-    """P(X >= k) = I_p(k, n-k+1) for X ~ Binomial(n, p), elementwise."""
-    from scipy.special import betainc  # loaded on the first solver call only
+# Loader's stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 1..15.
+# At m = 0 it is -log(2 pi) / 2, so that the first term at x = n, whose log
+# counts n - x as 1, is p^n exactly.
+_STIRLERR = (
+    -0.9189385332046728, 0.08106146679532726, 0.0413406959554093,
+    0.02767792568499834, 0.020790672103765093, 0.016644691189821193,
+    0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475,
+    0.005554733551962801)
+_BLOCK = 8192        # cells per pass of the solvers and of `_tail`
+_CHUNK = 4096        # terms per summing step over all cells; each takes 8, 16, 32, ... of them
+_STOP = 2.0 ** -60   # a term below this share of its sum ends the sum
+_MARGIN = 1e-12      # relative margin by which a bound must clear a target
+# floor of (x - m)/m in `_bd0`: it moves only x = 0, where bd0 is m, off log1p(-1)
+_LOG1P_FLOOR = 2.0 ** -53 - 1
 
-    return betainc(k, n - k + 1, p)
+
+def _tail(k, n, p, target=None):
+    """P(X >= k) for X ~ Binomial(n, p), per cell of 1-d or scalar k, n, p
+    with 1 <= k <= n; with `target`, whether that probability is >= target.
+
+    P(X >= k) = 1 - P(n - X >= n - k + 1), so each cell sums the side whose
+    first term lies beyond the mean: the upper tail itself when k > n p,
+    else the lower one from k - 1 down, subtracted from 1.  The first term
+    is Loader's saddle-point form of the pmf, as R's dbinom evaluates it
+    (C. Loader, "Fast and accurate computation of binomial probabilities",
+    2000), with a relative error of a few ulps of k - n p.  Each next term
+    is the last times the ratio of neighbours, and the sum stops at a term
+    below 2**-60 of it: past the mean each ratio is below the one before,
+    so the rest is below that term times r / (1 - r), r the next ratio.
+    Where p < 1/2, q = 1 - p is rounded, and every ratio carries the same
+    relative error e / q, e = (1 - q) - p exactly: term i carries it i
+    times, so the sum subtracts that drift times sum(i t_i).  The result is
+    within about 1e-15 of the exact tail at the ion counts the solvers
+    probe; the tests bound it by 1e-13 up to n = 1e8.
+
+    With `target`, a cell stops as soon as its partial sum plus that bound
+    on the rest puts the tail on one side of target by a relative margin
+    of 1e-12, far above the rounding error: the answer is the comparison
+    the full sum would give.  One cell is summed term by term in floats;
+    more go through NumPy in blocks of `_BLOCK` cells and steps of a few
+    terms each, so no temporary grows with the grid.
+    """
+    k, n = np.asarray(k).reshape(-1), np.asarray(n).reshape(-1)
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if k.size == 1:
+        return np.array([_tail_one(float(k[0]), float(n[0]), float(p[0]), target)])
+    out = np.empty(k.size, dtype=float if target is None else bool)
+    for lo in range(0, k.size, _BLOCK):
+        cut = slice(lo, lo + _BLOCK)
+        out[cut] = _tail_cells(k[cut], n[cut], p[cut], target)
+    return out
+
+
+def _band(target) -> tuple:
+    """((lo, hi) for a sum that is the tail, (lo, hi) for one that the tail
+    subtracts from 1): a sum >= hi, or below lo with the bound on the rest
+    added, decides `target`.  NaN, which decides nothing, without a target."""
+    if target is None:
+        return (math.nan, math.nan), (math.nan, math.nan)
+    lo, hi = target * (1 - _MARGIN), target * (1 + _MARGIN)
+    return (lo, hi), (1 - hi, 1 - lo)
+
+
+def _settled(t, s, r, lo, hi):
+    """Per cell, whether a sum s with last term t and next ratio r is done:
+    t is at most 2**-60 of s, s is at least hi, or s plus the bound
+    t r / (1 - r) on the rest is below lo, with (lo, hi) from `_band`."""
+    return (t <= _STOP * s) | (s >= hi) | (s + t * r / (1 - r) < lo)
+
+
+def _tail_one(k: float, n: float, p: float, target):
+    """`_tail` of one cell, in floats: the terms one by one."""
+    up = k > n * p
+    q = 1 - p
+    x, u, w = (k, p, q) if up else (n - k + 1, q, p)
+    if u == 0:  # p is 0 or 1
+        tail = float(not up)
+    else:
+        y = n - x
+        lc = (_stirlerr_one(n) - _stirlerr_one(x) - _stirlerr_one(y)
+              - _bd0_one(x, n * u) - _bd0_one(y, n * w))
+        t = s = math.exp(lc - 0.5 * math.log(2 * math.pi * x * max(y, 1) / n))
+        lo, hi = _band(target)[not up]
+        decide = target is not None
+        a, b = n - x, x + 1  # the next term is t a u / (b w); then a - 1, b + 1
+        i = moment = 0
+        while t > _STOP * s:  # `_settled`, inline: a call per term costs a third more
+            r = a * u / (b * w)
+            if decide and (s >= hi or s + t * r / (1 - r) < lo):
+                break
+            t *= r
+            s += t
+            a -= 1
+            b += 1
+            i += 1
+            moment += i * t
+        drift = ((1 - q) - p) / q  # see `_tail`
+        s -= (drift if up else -drift) * moment
+        tail = s if up else 1 - s
+    return tail if target is None else tail >= target
+
+
+def _tail_cells(k, n, p, target):
+    """`_tail` of one block of cells, summed in steps of a few terms per cell."""
+    n = n.astype(float)
+    q = 1 - p
+    up = k > n * p
+    x = np.where(up, k, n - k + 1)
+    u = np.where(up, p, q)
+    w = np.where(up, q, p)
+    t = _first_terms(x, n, u, w)
+    a, b = n - x, x + 1
+    (lo_up, hi_up), (lo_down, hi_down) = _band(target)
+    lo, hi = np.where(up, lo_up, lo_down), np.where(up, hi_up, hi_down)
+    sums, moments = t, np.zeros(k.size)
+    cells = np.flatnonzero(~_settled(t, t, a * u / (b * w), lo, hi))
+    # one row per quantity of the cells still summing: the next term is
+    # t a u / (b w), then a - 1 and b + 1; s is the sum of the terms t_i so
+    # far and moment the sum of i t_i
+    state = np.stack([row[cells] for row in (u, w, a, b, t, t, moments, lo, hi)])
+    done, steps = 0, 4
+    while cells.size:
+        steps = max(8, min(2 * steps, _CHUNK // cells.size))
+        u, w, a, b, t, s, moment, lo, hi = state
+        i = np.arange(steps, dtype=float)[:, None]
+        terms = (a - i) * u
+        den = b + i
+        den *= w
+        terms /= den
+        terms[0] *= t
+        for j in range(1, steps):
+            terms[j] *= terms[j - 1]
+        s += terms.sum(axis=0)
+        moment += (i[:, 0] + (done + 1)) @ terms
+        t[:] = terms[-1]
+        a -= steps
+        b += steps
+        done += steps
+        end = _settled(t, s, a * u / (b * w), lo, hi)
+        if np.count_nonzero(end):
+            gone, keep = np.flatnonzero(end), np.flatnonzero(~end)
+            sums[cells[gone]], moments[cells[gone]] = s[gone], moment[gone]
+            state, cells = state.take(keep, axis=1), cells[keep]
+    drift = ((1 - q) - p) / np.maximum(q, 0.5)  # see `_tail`; 0 where q <= 1/2
+    sums -= np.where(up, drift, -drift) * moments
+    tail = np.where(up, sums, 1 - sums)
+    return tail if target is None else tail >= target
+
+
+def _first_terms(x, n, u, w):
+    """Loader's saddle-point form of the Binomial(n, u) pmf at x, over float
+    arrays with w = 1 - u: `_tail`'s first terms.  0 where u = 0."""
+    y = n - x
+    lc = _stirlerr(n)
+    lc -= _stirlerr(x)
+    lc -= _stirlerr(y)
+    with np.errstate(divide="ignore"):  # u = 0: bd0 is inf, the term 0
+        lc -= _bd0(x, n * u)
+        lc -= _bd0(y, n * w)
+    lc -= 0.5 * np.log((2 * math.pi) * x * np.maximum(y, 1) / n)
+    return np.exp(lc, out=lc)
+
+
+def _stirling_series(m):
+    """stirlerr(m) for m >= 16, floats or arrays: the Stirling series to
+    1/m^9, whose next term is below 1.1e-16 there."""
+    s = 1 / m
+    s2 = s * s
+    return ((((s2 / 1188 - 1 / 1680) * s2 + 1 / 1260) * s2 - 1 / 360) * s2 + 1 / 12) * s
+
+
+def _stirlerr(m):
+    """stirlerr, elementwise over an array of integer-valued m >= 0."""
+    out = _stirling_series(np.maximum(m, 16.0))
+    small = np.flatnonzero(m < 16)
+    if small.size:
+        out[small] = np.take(_STIRLERR, m[small].astype(np.intp))
+    return out
+
+
+def _stirlerr_one(m: float) -> float:
+    return _STIRLERR[int(m)] if m < 16 else _stirling_series(m)
+
+
+def _bd0(x, m):
+    """x log(x/m) + m - x, elementwise: Loader's deviance term of `_tail`'s
+    first term.  Near x = m it is the series in v = (x - m)/(x + m), which
+    keeps its error to a few ulps of the result; elsewhere
+    x log1p((x - m)/m) - (x - m), whose error of a few ulps of x - m is at
+    most ~100 ulps of the result when |v| >= 0.01.
+    """
+    d = x - m
+    out = x * np.log1p(np.maximum(d / m, _LOG1P_FLOOR))
+    out -= d
+    v = d / (x + m)
+    near = np.flatnonzero(np.abs(v) < 0.01)
+    if near.size:
+        out[near] = _bd0_series(x[near], d[near], v[near])
+    return out
+
+
+def _bd0_one(x: float, m: float) -> float:
+    """`_bd0` of one pair of floats."""
+    d = x - m
+    v = d / (x + m)
+    if abs(v) < 0.01:
+        return _bd0_series(x, d, v)
+    return x * math.log1p(max(d / m, _LOG1P_FLOOR)) - d
+
+
+def _bd0_series(x, d, v):
+    # d v + 2 x (v^3/3 + v^5/5 + v^7/7 + v^9/9): the next term is below
+    # 1e-18 of the sum when |v| < 0.01
+    w = v * v
+    return d * v + 2 * x * v * w * (((w / 9 + 1 / 7) * w + 1 / 5) * w + 1 / 3)
 
 
 def _demand(distance: int, device: DeviceParams, paper_compat: bool) -> tuple:
@@ -219,7 +432,7 @@ def _search_min(pred, lo, *cols) -> np.ndarray:
 
 def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarray:
     """Per cell, the fewest ions m >= k_star with P(X >= k_star | m, p1) >= target."""
-    return _search_min(lambda m, k, p: _tail(k, m, p) >= target, k_star, k_star, p1)
+    return _search_min(lambda m, k, p: _tail(k, m, p, target), k_star, k_star, p1)
 
 
 def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
@@ -287,9 +500,10 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     """min_ions over the (d, T, p_c) grid, as an iterator of rows
     (d, T, p_c, min_ions, feasible) in grid order; use list() to keep them.
 
-    Every feasible cell is solved in one lockstep search before this returns,
-    so every ValueError comes before the first row; each row equals the
-    min_ions answer for its cell, and the rows are built as they are read.
+    Every feasible cell is solved before this returns, by lockstep searches
+    over blocks of `_BLOCK` cells, so every ValueError comes before the first
+    row; each row equals the min_ions answer for its cell, and the rows are
+    built as they are read.
     """
     distances = list(distances)
     cycle_times_s = list(cycle_times_s)
@@ -301,20 +515,21 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
             SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
     if not all(0 < pc <= 1 for pc in p_c_grid):
         raise ValueError("p_c_grid values must lie in (0,1]")
-    k_star = np.repeat([_demand(d, device, paper_compat)[2] for d in distances],
-                       len(cycle_times_s) * len(p_c_grid))
+    k_star = np.array([_demand(d, device, paper_compat)[2] for d in distances])
     budgets = [int(math.floor(t * device.pulse_rate_hz)) for t in cycle_times_s]
-    p1 = np.tile([p_onepair(pc, b) for b in budgets for pc in p_c_grid], len(distances))
-    feasible = p1 > 0
-    answers = np.zeros(p1.size, dtype=np.int64)
+    p1 = np.array([p_onepair(pc, b) for b in budgets for pc in p_c_grid])
+    answers = np.zeros(k_star.size * p1.size, dtype=np.int64)
     try:
-        answers[feasible] = _ions_needed(k_star[feasible], p1[feasible],
-                                         device.p_ls_confidence)
+        for lo in range(0, answers.size, _BLOCK):
+            block = np.arange(lo, min(lo + _BLOCK, answers.size))
+            block = block[p1[block % p1.size] > 0]
+            answers[block] = _ions_needed(k_star[block // p1.size], p1[block % p1.size],
+                                          device.p_ls_confidence)
     except ValueError as exc:  # the smallest p_c fails first
         raise ValueError(f"p_c_grid value {min(p_c_grid)!r} is too small: {exc}") from None
     cells = itertools.product(distances, cycle_times_s, p_c_grid)
     return ((d, t, pc, int(n), bool(ok))
-            for (d, t, pc), n, ok in zip(cells, answers, feasible))
+            for (d, t, pc), n, ok in zip(cells, answers, itertools.cycle(p1 > 0)))
 
 
 # device JSON key -> DeviceParams field

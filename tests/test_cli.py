@@ -182,7 +182,7 @@ def test_table_bytes_match_the_pins_on_stdout_and_in_the_output_file(
 def _traced_sweep_peak(capsys, fmt: str) -> int:
     """tracemalloc peak of a warm 39,600-row sweep written to the null device."""
     argv = [*TABLE_ARGV["sweep"], "--format", fmt, "--output", os.devnull]
-    assert main(argv) == 0  # loads SciPy and fills caches outside the trace
+    assert main(argv) == 0  # fills caches outside the trace
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -195,8 +195,8 @@ def _traced_sweep_peak(capsys, fmt: str) -> int:
 
 def test_sweep_table_streams_in_bounded_memory(capsys):
     # the 39,600-row sweep once held its rows three times over (13.9 MiB);
-    # streamed from the solver to the file, the peak is the lockstep
-    # solver's own arrays (about 4.4 MiB)
+    # streamed from the solver to the file and solved in blocks of cells,
+    # the peak is one block's solver arrays and the answers (about 2.1 MiB)
     assert _traced_sweep_peak(capsys, "csv") < 8 * 2 ** 20
 
 

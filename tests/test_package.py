@@ -24,7 +24,7 @@ def test_public_names_resolve_and_are_listed_once():
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs most of a second and tens of MB on import; the
-    # package needs only scipy.special
+    # package needs no SciPy at all
     code = "import sys, ionsurgery; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(isg.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -32,27 +32,36 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-SCIPY_ON_FIRST_SOLVE = """
-import sys
+NO_SCIPY_AFTER_SOLVING = """
+import contextlib, io, sys
 def scipy_modules():
     return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-import ionsurgery
-print(scipy_modules())
+import ionsurgery as isg
 import ionsurgery.cli
 print(scipy_modules())
-ionsurgery.min_ions(ionsurgery.SurgeryQuery(distance=3, cycle_time_s=1e-3),
-                    ionsurgery.default_device())
-print("scipy.special" in sys.modules)
+dev = isg.default_device()
+isg.min_ions(isg.SurgeryQuery(distance=3, cycle_time_s=1e-3), dev)
+isg.max_rate(isg.SurgeryQuery(distance=3, n_ions=100), dev)
+isg.attempts_required(45, 2.18e-4, 45, 0.999)
+list(isg.sweep_coupling([3, 9], [1e-3, 1e-5], [1e-4, 0.01, 1.0], dev))
+isg.binomial_tail_geq(1000, 0.196, 135)
+print(scipy_modules())
+for argv in (["min-ions", "--distance", "3..5"], ["rate", "--distance", "3", "--ions", "100"],
+             ["sweep", "--distances", "3", "--points", "5"],
+             ["validate", "--ions", "45", "--attempts", "1000", "--trials", "200"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ionsurgery.cli.main(argv) == 0
+print(scipy_modules())
 """
 
 
 def test_import_loads_no_scipy_until_a_solver_runs():
-    # only the binomial solvers need SciPy; they import scipy.special on the
-    # first call, so the package and the CLI start without it
+    # the binomial tail is evaluated with NumPy alone: no solver and no CLI
+    # command loads any scipy module (SciPy is a test oracle only)
     env = {**os.environ, "PYTHONPATH": str(Path(isg.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_SOLVE],
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_AFTER_SOLVING],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.splitlines() == ["[]", "[]", "True"]
+    assert out.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def test_every_name_the_benchmark_traces_resolves():
@@ -86,6 +95,18 @@ def test_every_imported_name_is_used(path):
                 if "# noqa: F401" not in lines[alias.lineno - 1]}
     exempt = set(isg.__all__) if path.name == "__init__.py" else set()
     assert sorted(imported - used - exempt) == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # SciPy is a test dependency only; pyproject.toml lists NumPy alone
+    tree = ast.parse(path.read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("make, fields", [

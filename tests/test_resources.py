@@ -24,6 +24,7 @@ from ionsurgery import (
     multiplexing_k,
     p_onepair,
     pairs_required,
+    resources,
     sweep_coupling,
 )
 
@@ -225,6 +226,141 @@ def test_binomial_tail_edges():
             binomial_tail_geq(n, 0.5, k)
     assert binomial_tail_geq(0, 0.5, 0) == 1.0
     assert binomial_tail_geq(0, 0.5, 1) == 0.0
+
+
+def test_stirlerr_table_and_series():
+    # log(m!) - log(sqrt(2 pi m) (m/e)^m); the table at m = 0 holds -log(2 pi)/2
+    for m in range(1, 40):
+        want = math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi)
+        assert resources._stirlerr_one(m) == pytest.approx(want, abs=1e-13)  # lgamma: ~1e-14
+    try:
+        import mpmath
+    except ImportError:
+        pass
+    else:
+        with mpmath.workdps(40):
+            for m in range(1, 40):
+                want = (mpmath.loggamma(m + 1) - (m + 0.5) * mpmath.log(m) + m
+                        - mpmath.log(2 * mpmath.pi) / 2)
+                # the table to its last digit; the series to its truncation
+                assert abs(resources._stirlerr_one(m) - want) < (1e-17 if m < 16 else 1.1e-16)
+    assert resources._STIRLERR[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-15)
+    m = np.arange(40.0)
+    assert resources._stirlerr(m).tolist() == [resources._stirlerr_one(v) for v in m]
+
+
+def _tail_grid():
+    """(k, n, p) arrays: n from 1 to 1e8, p from 0 to 1, and k across 1..n,
+    within 50 of n p, and 0.75 and 3 standard deviations either side of it
+    (where the first term's error, a few ulps of k - n p, is largest)."""
+    cells = []
+    for n in (1, 2, 5, 15, 16, 17, 100, 1000, 10 ** 4, 250_000, 10 ** 6, 10 ** 8):
+        for p in (0.0, 1e-9, 1e-6, 1e-4, 0.01, 0.196, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1.0):
+            sd = math.sqrt(n * p * (1 - p))
+            ks = {1, n // 4, n // 2, 3 * n // 4, n}
+            ks |= {round(n * p) + j for j in (-50, -5, -1, 0, 1, 5, 50)}
+            ks |= {round(n * p + z * sd) for z in (-3, -0.75, 0.75, 3)}
+            cells += [(k, n, p) for k in sorted(ks) if 1 <= k <= n]
+    k, n, p = zip(*cells)
+    return np.array(k), np.array(n), np.array(p)
+
+
+def _tail_by_mpmath(k: int, n: int, p: float):
+    """P(X >= k), X ~ Binomial(n, p), summed at 40 digits from the first
+    term beyond the mean outward, to 1e-25 of the sum."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        if p in (0, 1):
+            return p
+        up = k > n * p
+        j = k if up else k - 1
+        t = s = mpmath.binomial(n, j) * p ** j * q ** (n - j)
+        if up:
+            while j < n and t > s * 1e-25:
+                t *= (n - j) * p / ((j + 1) * q)
+                j += 1
+                s += t
+            return s
+        while j > 0 and t > s * 1e-25:
+            t *= j * q / ((n - j + 1) * p)
+            j -= 1
+            s += t
+        return 1 - s
+
+
+def _grid_tails():
+    k, n, p = _tail_grid()
+    vector = resources._tail(k, n, p)
+    one_by_one = np.array([binomial_tail_geq(int(n_), float(p_), int(k_))
+                           for k_, n_, p_ in zip(k, n, p)])
+    return k, n, p, vector, one_by_one
+
+
+def test_binomial_tail_matches_betainc_on_a_wide_grid():
+    # SciPy is a test oracle only; its own error reaches 1.3e-12 on this grid
+    betainc = pytest.importorskip("scipy.special").betainc
+    k, n, p, vector, one_by_one = _grid_tails()
+    want = betainc(k, n - k + 1, p)
+    assert np.abs(vector - want).max() < 2e-12
+    assert np.abs(one_by_one - want).max() < 2e-12
+
+
+@pytest.mark.slow
+def test_binomial_tail_matches_40_digit_mpmath_on_a_wide_grid():
+    mpmath = pytest.importorskip("mpmath")
+    k, n, p, vector, one_by_one = _grid_tails()
+    worst = 0
+    with mpmath.workdps(40):
+        for k_, n_, p_, v, o in zip(k.tolist(), n.tolist(), p.tolist(), vector, one_by_one):
+            want = _tail_by_mpmath(k_, n_, p_)
+            if n_ <= 1000:  # where mpmath's betainc converges, the sum is it
+                assert abs(want - mpmath.betainc(k_, n_ - k_ + 1, 0, p_,
+                                                 regularized=True)) < 1e-25
+            worst = max(worst, abs(v - want), abs(o - want))
+    assert worst < 1e-13
+
+
+RECIPE_ARGV = (
+    ["min-ions", "--distance", "3..13", "--paradigm", "all"],
+    ["rate", "--distance", "3..13", "--ions", "100,1000,10000"],
+    ["sweep", "--distances", "3,6,9", "--cycle-times-us", "1000,100,10", "--pc-from",
+     "1e-4", "--pc-to", "1", "--points", "40", "--paper-compat"],
+)
+
+
+def test_tail_decisions_match_betainc_on_every_recipe_probe(monkeypatch, capsys):
+    # every probe of the docs/repro.md min-ions and rate recipes and of a
+    # sweep: the solver's decision tail >= P_LS is betainc's, and the early
+    # stop of a probe with a target decides as the full sum does
+    betainc = pytest.importorskip("scipy.special").betainc
+    from ionsurgery import cli
+
+    probes, tail = [], resources._tail
+
+    def record(k, n, p, target=None):
+        probes.append((*np.broadcast_arrays(k, n, p), target))
+        return tail(k, n, p, target)
+
+    monkeypatch.setattr(resources, "_tail", record)
+    counts = []
+    for argv in RECIPE_ARGV:
+        assert cli.main(argv) == 0
+        counts.append(sum(c[0].size for c in probes) - sum(counts))
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert counts == [647, 472, 3786]  # the probes of the betainc solvers
+    target = DEV.p_ls_confidence
+    assert {t for *_, t in probes} == {None, target}  # rate probes carry no target
+    k, n, p = (np.concatenate([np.ravel(c[i]) for c in probes]) for i in range(3))
+    full = resources._tail(k, n, p)
+    decided = full >= target
+    assert (decided == (betainc(k, n - k + 1, p) >= target)).all()
+    assert (resources._tail(k, n, p, target) == decided).all()
+    one_by_one = [resources._tail(*cell, target)[0] for cell in zip(k, n, p)]
+    assert one_by_one == decided.tolist()
 
 
 # ---------------------------------------------------------------------------
