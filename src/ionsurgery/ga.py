@@ -14,6 +14,7 @@ per ancilla pair 1..n-1.  The search evaluates each distinct genome once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,15 +93,37 @@ def _record_label(pair: int, side: str, n_pairs: int) -> str:
     return f"c{pair + (0 if side == 'A' else n_pairs)}"
 
 
+# Op records are frozen, so every circuit built from genomes shares them:
+# each cache below makes one record per key, and its key ranges over a small
+# fixed domain (kinds, sides, pairs, bases, Clifford indices), never over
+# genomes.  `PurificationCircuit` still checks every circuit they join.
+
+@functools.lru_cache(maxsize=None)
+def _gate_op(item: tuple):
+    """The op of a gate record (kind, side, pair, pair-or-index)."""
+    if item[0] in ("cnot", "cz"):
+        return TwoQubitGate(*item)
+    return SingleQubitClifford(item[2], item[1], item[3])
+
+
+@functools.lru_cache(maxsize=None)
+def _measure_op(pair: int, side: str, basis: str, n_pairs: int) -> Measure:
+    return Measure(pair, side, basis, _record_label(pair, side, n_pairs))
+
+
+@functools.lru_cache(maxsize=None)
+def _accept_rule(pair: int, relation: str, n_pairs: int) -> AcceptRule:
+    return AcceptRule(_record_label(pair, "A", n_pairs),
+                      _record_label(pair, "B", n_pairs), relation)
+
+
 def _genome_to_circuit(g: _Genome, n_pairs: int) -> PurificationCircuit:
-    ops = [TwoQubitGate(*item) if item[0] in ("cnot", "cz")
-           else SingleQubitClifford(item[2], item[1], item[3]) for item in g.gates]
+    ops = [_gate_op(item) for item in g.gates]
     accept = []
     for pair, relation in zip(range(1, n_pairs), g.relations):
         for side, basis in zip(SIDES, g.bases[2 * pair - 2:2 * pair]):
-            ops.append(Measure(pair, side, basis, _record_label(pair, side, n_pairs)))
-        accept.append(AcceptRule(_record_label(pair, "A", n_pairs),
-                                 _record_label(pair, "B", n_pairs), relation))
+            ops.append(_measure_op(pair, side, basis, n_pairs))
+        accept.append(_accept_rule(pair, relation, n_pairs))
     return PurificationCircuit(n_pairs, tuple(ops), tuple(accept))
 
 

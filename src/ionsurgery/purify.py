@@ -285,13 +285,21 @@ def _joint_state(*pair_bytes: bytes) -> np.ndarray:
     return state
 
 
-def _accepted(rules, rec: dict) -> bool:
-    """True when the records in `rec` satisfy every rule in `rules`."""
-    for rule in rules:
-        same = rec[rule.label_i] == rec[rule.label_j]
-        if same != (rule.relation == "coincident"):
-            return False
-    return True
+def _record_bitflip(outcomes: np.ndarray, pm: float) -> np.ndarray:
+    """The branches after a measurement whose record flips with probability pm.
+
+    `outcomes` is `_measure_raw`'s (2, B, d, d) stack.  Returns a fresh
+    (2B, d, d) stack in which row 2b, outcome 0 written down, is
+    (1 - pm) * s0 + pm * s1 of branch b, and row 2b + 1 is
+    (1 - pm) * s1 + pm * s0, bit for bit.  Three in-place ops make it, and
+    the pm * products overwrite `outcomes`.
+    """
+    shape = outcomes.shape[2:]
+    mixed = np.empty((outcomes.shape[1], 2, *shape), dtype=complex)
+    np.multiply(1 - pm, outcomes.swapaxes(0, 1), out=mixed)
+    np.multiply(pm, outcomes, out=outcomes)
+    np.add(mixed, outcomes[::-1].swapaxes(0, 1), out=mixed)
+    return mixed.reshape(-1, *shape)
 
 
 def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> ProtocolOutcome:
@@ -304,8 +312,11 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     p2 two-qubit); measurement records pass through a p_meas bitflip.
     Once a measurement writes the last record of an accept rule, every
     branch that breaks the rule is pruned.  The branches are one stack in
-    record order: a measurement is one `_measure_raw` call on all of them,
-    a gate runs in place on each, and the survivors are summed in order.
+    record order, each with its records as a bitmask: a measurement is one
+    `_measure_raw` call on all of them and one `_record_bitflip` of its
+    outcome stack, a gate runs in place on each, and the survivors are
+    reduced by one `_partial_trace_raw` call and one trace on the whole
+    stack, then summed in branch order.
     Returns the accept-conditioned pair-0 marginal next to its fidelity and
     the total success probability.
     """
@@ -316,9 +327,10 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
 
     alive = list(range(n))  # qubit id -> position alive.index(id)
     # the branches: a writable copy stacked in record order, unnormalized
-    # (trace == path probability); row i was written down as records[i]
-    branches, records = state.copy()[None], [{}]
-    written = set()  # record labels measured so far
+    # (trace == path probability); bit bits[label] of records[i] is the
+    # outcome that row i wrote down for that label
+    branches, records = state.copy()[None], [0]
+    bits = {}
     pending = list(circuit.accept)  # rules still waiting for one of their records
     # the two-pass gate kernels' scratch at the current width; it belongs to
     # this call, and a measurement, the only op that changes the width, frees it
@@ -331,22 +343,21 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
             work = None
             q = off + op.pair
             pos = alive.index(q)
-            label = op.record_label
-            written.add(label)
-            done = [r for r in pending if r.label_i in written and r.label_j in written]
+            bit = bits[op.record_label] = len(bits)
+            done = [r for r in pending if r.label_i in bits and r.label_j in bits]
             pending = [r for r in pending if r not in done]
-            pm = noise.p_meas
-            s0, s1 = _measure_raw(branches, op.basis, pos, m)
-            # record bitflip mixes which outcome is written down; each branch's
-            # outcome 0 row is followed by its outcome 1 row, and a row that
-            # breaks a now-complete accept rule is dropped
-            mixed = np.empty((2 * len(s0), *s0.shape[1:]), dtype=complex)
-            np.add((1 - pm) * s0, pm * s1, out=mixed[0::2])
-            np.add((1 - pm) * s1, pm * s0, out=mixed[1::2])
-            recs = [{**rec, label: b} for rec in records for b in (0, 1)]
-            keep = [i for i, rec in enumerate(recs) if _accepted(done, rec)]
-            branches = mixed if len(keep) == len(mixed) else mixed[keep]
-            records = [recs[i] for i in keep]
+            outcomes = _measure_raw(branches, op.basis, pos, m)
+            branches = _record_bitflip(outcomes, noise.p_meas)
+            records = [rec | b << bit for rec in records for b in (0, 1)]
+            if done:
+                # a row that breaks a now-complete accept rule is dropped
+                rules = [(bits[r.label_i], bits[r.label_j], r.relation != "coincident")
+                         for r in done]
+                keep = [i for i, rec in enumerate(records)
+                        if all((rec >> bi ^ rec >> bj) & 1 == odd for bi, bj, odd in rules)]
+                if len(keep) < len(records):
+                    branches = branches[keep]
+                    records = [records[i] for i in keep]
             alive.remove(q)
             continue
         if isinstance(op, TwoQubitGate):
@@ -367,12 +378,12 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
 
     # alive only loses entries, so A0 still precedes B0
     m = len(alive)
-    out_pos = [alive.index(0), alive.index(n_pairs)]
+    reduced = _partial_trace_raw(branches, [alive.index(0), alive.index(n_pairs)], m)
     total = np.zeros((4, 4), dtype=complex)
     p_succ = 0.0
-    for s in branches:
-        p_succ += float(np.trace(s).real)
-        total += _partial_trace_raw(s, out_pos, m)
+    for red, trace in zip(reduced, np.trace(branches, axis1=1, axis2=2).real.tolist()):
+        p_succ += trace
+        total += red
 
     if p_succ <= 0.0:
         return ProtocolOutcome(0.0, 0.0, DensityMatrix(2, total))

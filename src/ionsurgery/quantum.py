@@ -14,6 +14,12 @@ rho itself: each kernel has read all of rho that it needs before it writes
 overwrite with their intermediates; it may not share memory with rho or
 `out`, and is allocated when None.  Every path gives the same bits as the
 allocating call, and none writes into rho unless it is `out`.
+
+`_depolarize_raw` takes one or two distinct target qubits, as the simulator
+asks after each gate, or every qubit; any other target set raises
+ValueError.  `_measure_raw` and `_partial_trace_raw` also take a stack
+(*batch, 2^n, 2^n) and treat each matrix as a call on it alone would, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -183,35 +189,46 @@ def _permute_raw(rho: np.ndarray, perm: list, n: int) -> np.ndarray:
 
 
 def _partial_trace_raw(rho: np.ndarray, keep: list, n: int) -> np.ndarray:
-    """Reduce to `keep` (order preserved), tracing out the rest."""
+    """Reduce to `keep` (order preserved), tracing out the rest.
+
+    On a stack (*batch, 2^n, 2^n), as `_measure_raw` takes, the result is a
+    stack (*batch, 2^m, 2^m) and each matrix is reduced bit for bit as a
+    call on it alone would reduce it: the batch axes lead every step.
+    """
+    batch = rho.shape[:-2]
     if list(keep) == list(range(n)):
         return rho.copy()
     drop = [q for q in range(n) if q not in keep]
-    t = rho.reshape((2,) * (2 * n))
+    b = len(batch)
+    t = rho.reshape(batch + (2,) * (2 * n))
     for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
+        t = np.trace(t, axis1=b + q, axis2=b + (t.ndim - b) // 2 + q)
     m = len(keep)
     # axes now follow the original relative order of kept qubits
     order = np.argsort(np.argsort(keep))
-    t = t.reshape((2,) * (2 * m))
-    t = t.transpose(list(order) + [m + int(i) for i in order])
-    return np.ascontiguousarray(t.reshape(2 ** m, 2 ** m))
+    t = t.transpose([*range(b)] + [b + int(i) for i in order]
+                    + [b + m + int(i) for i in order])
+    return np.ascontiguousarray(t.reshape(*batch, 2 ** m, 2 ** m))
 
 
 def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
                     out=None) -> np.ndarray:
     """Uniform mixture over non-identity Paulis on targets, weight p.
 
+    `targets` are one or two distinct qubits, as after every gate of the
+    simulator, or every qubit; any other set raises ValueError.
     Closed form: the full 4^k-term Pauli average equals replacement by the
     maximally mixed state on the targets, so the 3- or 15-term non-identity
     mixture is (1-lam) rho + lam * (Tr_t rho (x) I/2^k) with
     lam = p * d^2/(d^2-1), d = 2^k.  The second term is nonzero only on the
     2^k blocks where the targets' ket and bra bits agree, so it is added into
     those blocks of (1-lam) rho instead of being built at full size.  The
-    reduced state is summed into fresh arrays, and scaled in place, before
-    rho is scaled into `out`.  With p == 0 and `out=None`, rho itself is
-    returned.
+    reduced state is the pairwise sum of those blocks, (b0 + b1) for one
+    target and (b00 + b01) + (b10 + b11) for two, into fresh arrays that are
+    scaled in place before rho is scaled into `out`.  With p == 0 and
+    `out=None`, rho itself is returned.
     """
+    shape, diag = _depolarize_plan(tuple(targets), n)
     if p == 0.0:
         if out is None:
             return rho
@@ -220,22 +237,23 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
     k = len(targets)
     dim = 2 ** k
     lam = p * dim * dim / (dim * dim - 1)
-    shape, diag = _depolarize_plan(tuple(targets), n)
     if k == n:
         mixed = lam * (np.trace(rho) / dim)
     else:
         # trace the highest target first, as nested np.trace calls do
         view = rho.reshape(shape)
-        red = [view[idx] for idx in diag]
-        while len(red) > 1:
-            red = [a + b for a, b in zip(red[::2], red[1::2])]
+        mixed = view[diag[0]] + view[diag[1]]
+        if k == 2:
+            np.add(mixed, view[diag[2]] + view[diag[3]], out=mixed)
         # a sum of at least two blocks, so a fresh array: scale it in place
-        mixed = np.true_divide(red[0], dim, out=red[0])
+        np.true_divide(mixed, dim, out=mixed)
         np.multiply(lam, mixed, out=mixed)
     out = np.multiply(1 - lam, rho, out=out)
     blocks = out.reshape(shape)
     for idx in diag:
-        blocks[idx] += mixed
+        # not `blocks[idx] += mixed`, which also copies the block onto itself
+        block = blocks[idx]
+        np.add(block, mixed, out=block)
     return out
 
 
@@ -243,8 +261,14 @@ def _depolarize_raw(rho: np.ndarray, p: float, targets: list, n: int,
 def _depolarize_plan(targets: tuple, n: int):
     """Shape splitting each side of an n-qubit rho around the sorted targets,
     (l, 2, m, 2, h) for two, and the index of every block whose ket and bra
-    target bits agree, the lowest target's bit varying slowest."""
+    target bits agree, the lowest target's bit varying slowest.  Raises
+    ValueError unless the targets are one or two distinct qubits of the n,
+    or all n."""
     qs = sorted(targets)
+    if not (len(qs) in (1, 2) or len(qs) == n) or len(set(qs)) < len(qs) \
+            or not all(0 <= q < n for q in qs):
+        raise ValueError(f"depolarizing targets {list(targets)} on {n} qubits: "
+                         "need one or two distinct qubits, or every qubit")
     side = []
     prev = -1
     for q in qs:
@@ -268,35 +292,58 @@ def _project_raw(rho: np.ndarray, proj: np.ndarray, target: int, n: int) -> np.n
     return _apply_unitary_raw(rho, proj, target, n)
 
 
-def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int):
+def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int) -> np.ndarray:
     """Both unnormalized outcome branches of an X/Y/Z measurement of qubit q.
 
-    Returns (s0, s1), the +1 and -1 branches with q traced out.  Each is
-    read off the four (ket_q, bra_q) blocks tab of rho, through the same
-    addition tree as projecting with `_project_raw` and then tracing q out
-    with `_partial_trace_raw`, so the two agree bit for bit.  On a stack
-    (B, 2^n, 2^n), s0 and s1 are stacks of B, each matrix measured alone.
+    Returns one array (2, *batch, d, d), d = 2^(n-1): the +1 branch, then
+    the -1 branch, each with q traced out, so `s0, s1 = _measure_raw(...)`
+    reads them.  Each is read off the four (ket_q, bra_q) blocks tab of rho,
+    through the same addition tree as projecting with `_project_raw` and
+    then tracing q out with `_partial_trace_raw`, so the two agree bit for
+    bit.  Every step of the tree writes through `out=` views, into the
+    result or one scratch array, on views of at most six axes, and acts on
+    both bra bits or both outcomes at once; the Y basis forms each of its
+    `1j * t10` and `1j * t11` products once for both outcomes.  On a stack
+    (*batch, 2^n, 2^n), each matrix is measured alone.
     """
+    if basis not in ("X", "Y", "Z"):
+        raise ValueError("basis must be one of X, Y, Z")
     lo, hi = 2 ** q, 2 ** (n - 1 - q)
-    t = rho.reshape(*rho.shape[:-2], lo, 2, hi, lo, 2, hi)
-
-    def block(a, b):
-        return t[..., :, a, :, :, b, :]
-
-    if basis == "Z":
-        s0, s1 = block(0, 0).copy(), block(1, 1).copy()
-    else:
-        t00, t01, t10, t11 = block(0, 0), block(0, 1), block(1, 0), block(1, 1)
-        if basis == "X":
-            s0 = .5 * ((t00 + t10) + (t01 + t11))
-            s1 = .5 * ((t00 - t10) - (t01 - t11))
-        elif basis == "Y":
-            s0 = .5 * ((t00 - 1j * t10) + 1j * (t01 - 1j * t11))
-            s1 = .5 * ((t00 + 1j * t10) - 1j * (t01 + 1j * t11))
-        else:
-            raise ValueError("basis must be one of X, Y, Z")
     d = lo * hi
-    return s0.reshape(*rho.shape[:-2], d, d), s1.reshape(*rho.shape[:-2], d, d)
+    out = np.empty((2, *rho.shape[:-2], d, d), dtype=complex)
+    if basis == "Z":
+        # rows (batch, l), ket bit, h; columns l', bra bit, h'
+        t = rho.reshape(-1, 2, hi, lo, 2, hi)
+        s0, s1 = out.reshape(2, -1, hi, lo, hi)
+        np.copyto(s0, t[:, 0, :, :, 0])
+        np.copyto(s1, t[:, 1, :, :, 1])
+        return out
+    # the rows of each ket bit a: ka[(batch, l), (h, column)], so that the
+    # bra bit b of a column picks block tab
+    rows = rho.reshape(-1, 2, hi * 2 * d)
+    k0, k1 = rows[:, 0], rows[:, 1]
+    pair = np.empty((2, *k0.shape), dtype=complex)
+    # pair[k][(batch, l, h), l', b, h']
+    halves = pair.reshape(2, -1, lo, 2, hi)
+    if basis == "X":
+        # s0 = .5 * ((t00 + t10) + (t01 + t11))
+        # s1 = .5 * ((t00 - t10) - (t01 - t11))
+        np.add(k0, k1, out=pair[0])
+        np.subtract(k0, k1, out=pair[1])
+    else:
+        # s0 = .5 * ((t00 - 1j * t10) + 1j * (t01 - 1j * t11))
+        # s1 = .5 * ((t00 + 1j * t10) - 1j * (t01 + 1j * t11))
+        # the 1j * t1b products go into the result's memory until s0 and s1 do
+        i1 = np.multiply(1j, k1, out=out.reshape(k1.shape))
+        np.subtract(k0, i1, out=pair[0])
+        np.add(k0, i1, out=pair[1])
+        bra1 = halves[:, :, :, 1]
+        np.multiply(1j, bra1, out=bra1)
+    s0, s1 = out.reshape(2, -1, lo, hi)
+    np.add(halves[0, :, :, 0], halves[0, :, :, 1], out=s0)
+    np.subtract(halves[1, :, :, 0], halves[1, :, :, 1], out=s1)
+    np.multiply(.5, out, out=out)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import ionsurgery as isg
-from ionsurgery import GaConfig, PurificationCircuit
+from ionsurgery import (
+    AcceptRule,
+    GaConfig,
+    Measure,
+    PurificationCircuit,
+    SingleQubitClifford,
+    TwoQubitGate,
+)
+from ionsurgery import ga
 from ionsurgery.ga import (
     CROSSOVER_RATE,
     ELITE_FRACTION,
@@ -147,6 +155,67 @@ def test_variation_operators_always_yield_valid_circuits():
                 # measurement-terminal: every sacrificial pair measured on
                 # both sides and tied by exactly one accept rule
                 assert len(circ.accept) == n_pairs - 1
+
+
+def fresh_circuit(g, n_pairs):
+    """The circuit of genome g, every op and rule made anew."""
+    ops = [TwoQubitGate(*item) if item[0] in ("cnot", "cz")
+           else SingleQubitClifford(item[2], item[1], item[3]) for item in g.gates]
+    accept = []
+    for pair, relation in zip(range(1, n_pairs), g.relations):
+        labels = (f"c{pair}", f"c{pair + n_pairs}")
+        for side, basis, label in zip("AB", g.bases[2 * pair - 2:2 * pair], labels):
+            ops.append(Measure(pair, side, basis, label))
+        accept.append(AcceptRule(*labels, relation))
+    return PurificationCircuit(n_pairs, tuple(ops), tuple(accept))
+
+
+def test_genomes_share_op_records_and_build_the_fresh_circuit():
+    rng = np.random.default_rng(31)
+    for n_pairs in (3, 4, 5):
+        genomes = [_mutate(_random_genome(rng, n_pairs), rng, n_pairs, 0.3)
+                   for _ in range(40)]
+        first = {}  # gate record or (pair, side, basis) -> the op it became first
+        shared = 0
+        for g in genomes:
+            circ = _genome_to_circuit(g, n_pairs)
+            fresh = fresh_circuit(g, n_pairs)
+            assert circ == fresh and circ.to_dict() == fresh.to_dict()
+            keys = [*g.gates, *((op.pair, op.side, op.basis)
+                                for op in circ.ops[len(g.gates):])]
+            for key, op in zip(keys, circ.ops):
+                shared += key in first
+                assert first.setdefault(key, op) is op
+        assert shared > 100  # records recur across genomes, so the sharing is tested
+
+
+def test_circuits_of_shared_ops_are_still_checked():
+    wide = _genome_to_circuit(ga._Genome((("cnot", "A", 3, 4),), ("Z",) * 8,
+                                         ("coincident",) * 4), 5)
+    with pytest.raises(ValueError, match="pair index out of range"):
+        PurificationCircuit(3, wide.ops[:1], ())
+    circ = _genome_to_circuit(ga._Genome((("cz", "B", 1, 2),), ("X",) * 4,
+                                         ("anticoincident",) * 2), 3)
+    gate, measure = circ.ops[0], circ.ops[2]  # cz on pairs 1, 2 of side B; (1, B)
+    assert (measure.pair, measure.side) == (1, "B")
+    with pytest.raises(ValueError, match="gate on an already-measured qubit"):
+        PurificationCircuit(3, (measure, gate), ())
+
+
+def test_op_caches_never_outgrow_their_domains():
+    caches = (ga._gate_op, ga._measure_op, ga._accept_rule)
+    for cache in caches:
+        cache.cache_clear()
+    cfg = GaConfig(population_size=30, generations=12, seed=1)
+    ranked = isg.search(cfg, "stephenson", isg.IDEAL_NOISE, archive=True)
+    n = cfg.n_pairs
+    # two-qubit kinds x sides x ordered pairs, plus sides x pairs x Cliffords;
+    # then ancilla pairs x sides x bases, and ancilla pairs x relations
+    domains = (2 * 2 * n * (n - 1) + 2 * n * 24, (n - 1) * 2 * 3, (n - 1) * 2)
+    sizes = [cache.cache_info().currsize for cache in caches]
+    assert all(0 < size <= domain for size, domain in zip(sizes, domains)), sizes
+    # far more ops were built than records made
+    assert sum(len(r.circuit.ops) for r in ranked) > 4 * sum(domains)
 
 
 def test_benchmark_sweep_identity_row():

@@ -1,5 +1,8 @@
 """Density-matrix core: states, raw kernels, the Clifford table."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,18 @@ def ket_state(*kets):
 
 # qubit 1 witnesses the post-measurement state of the measured qubit 0:
 # phi+ is |+>|0> after a CNOT that copies qubit 0 onto qubit 1 in Z
+def test_depolarize_rejects_targets_other_than_one_two_or_all():
+    # the simulator asks for one or two distinct qubits; every qubit is the
+    # closed form's other supported case, and anything else raises, p = 0 too
+    rho = random_state(np.random.default_rng(10), 4).entries
+    for targets in ([], [0, 1, 2], [3, 1, 0], [2, 2], [0, 4], [-1]):
+        for p in (0.0, 0.2):
+            with pytest.raises(ValueError, match=re.escape(str(targets))):
+                Q._depolarize_raw(rho, p, targets, 4)
+    every = Q._depolarize_raw(rho, 0.2, [0, 1, 2, 3], 4)
+    assert np.abs(every - kron_depolarize(rho, 0.2, [0, 1, 2, 3], 4)).max() < 1e-15
+
+
 def test_measure_branches_z_on_plus():
     s0, s1 = record_branches(isg.bell_state("phi_plus").entries, 0, "Z", 2)
     assert np.trace(s0).real == pytest.approx(0.5)
@@ -394,6 +409,29 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_record_bitflip_is_the_two_mixes_bit_for_bit(n):
+    # `simulate`'s in-place mix of a measurement's outcome stack against the
+    # two expressions it replaces, compared as uint64
+    from ionsurgery.purify import _record_bitflip
+
+    rng = np.random.default_rng(700 + n)
+    d = 2 ** (n - 1)
+    for branches in range(1, 5):
+        shape = (2, branches, d, d)
+        outcomes = with_signed_zeros(rng, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        s0, s1 = outcomes
+        for pm in (0.0, 1e-5, 0.3):
+            want = np.empty((2 * branches, d, d), dtype=complex)
+            want[0::2] = (1 - pm) * s0 + pm * s1
+            want[1::2] = (1 - pm) * s1 + pm * s0
+            assert same_bits(_record_bitflip(outcomes.copy(), pm), want), (branches, pm)
+            if pm == 0.0:
+                # the products turn some -0.0 into +0.0: returning the
+                # outcomes unmixed at pm = 0 would not give these bits
+                assert not same_bits(np.stack([s0, s1], axis=1).reshape(want.shape), want)
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
                                                for n in (9, 10))])
 def test_one_target_kernel_matches_tensordot(n):
@@ -489,6 +527,24 @@ def test_partial_trace_keeping_every_qubit_is_a_copy():
     assert np.array_equal(out, rho) and not np.shares_memory(out, rho)
     assert np.array_equal(Q._partial_trace_raw(rho, [2, 0, 1], 3),
                           Q._permute_raw(rho, [2, 0, 1], 3))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_partial_trace_of_a_stack_gives_each_matrix_its_own_bits(n):
+    # `simulate` reduces every surviving branch in one call, and reads their
+    # probabilities with one trace of the stack; compared as uint64
+    rng = np.random.default_rng(600 + n)
+    stack = np.stack([with_signed_zeros(rng, random_psd(rng, n)) for _ in range(3)])
+    for m in range(n + 1):
+        for keep in itertools.combinations(range(n), m):
+            for order in (list(keep), list(keep)[::-1]):
+                got = Q._partial_trace_raw(stack, order, n)
+                assert got.shape == (3, 2 ** m, 2 ** m) and got.flags.c_contiguous
+                for b, one in enumerate(stack):
+                    assert same_bits(got[b], Q._partial_trace_raw(one, order, n))
+    traces = np.trace(stack, axis1=1, axis2=2)
+    assert [t.tobytes() for t in traces] == [np.trace(one).tobytes() for one in stack]
+    assert Q._partial_trace_raw(stack[:0], [0], n).shape == (0, 2, 2)
 
 
 def test_partial_trace_of_bell_is_maximally_mixed():
