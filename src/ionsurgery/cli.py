@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 only-infeasible results (or failed validation)
 under --strict, 2 usage error: a bad flag, any input value the library
 rejects with ValueError, or an unwritable output path; stdout then stays
 empty, and the stderr error line names the flag that set the rejected
-value, or the device or circuit file that held it.  The default device
-file ships in the package; --device or the IONSURGERY_DEVICE environment
-variable override it.
+value, or the device or circuit file that held it.  The device constants
+default to those of `DeviceParams`; a --device file or the IONSURGERY_DEVICE
+environment variable overrides them.
 """
 
 import argparse
@@ -27,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import as_int
 from .collection import TrialConfig, empirical_attempts_bracket, simulate_collection
 from .ga import GaConfig, benchmark_sweep, search
 from .purify import load_circuit, save_circuit, simulate
-from .quantum import DEVICE_NOISE, IDEAL_NOISE, BellDiagonalState
+from .quantum import DEVICE_NOISE, IDEAL_NOISE
 from .resources import (
     SurgeryQuery,
     attempts_required,
@@ -102,23 +103,6 @@ def _device(args):
     dev = _read(load_device, "device", path) if path else default_device()
     # replace() re-runs DeviceParams' checks on the new p_entangle
     return dev if args.pc is None else replace(dev, p_entangle=args.pc)
-
-
-def _parse_input(text: str):
-    """--input as an input spec: werner:F and belldiag:F,px,pz,py give a
-    BellDiagonalState; any other text, such as stephenson, is passed on as it
-    is, and simulate and search reject a name they do not know."""
-    try:
-        if text.startswith("werner:"):
-            f = float(text.split(":", 1)[1])
-            third = 1.0 / 3.0
-            return BellDiagonalState(f, third, third, third)
-        if text.startswith("belldiag:"):
-            f, px, pz, py = (float(v) for v in text.split(":", 1)[1].split(","))
-            return BellDiagonalState(f, px, pz, py)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad --input spec {text!r}: {exc}") from None
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +221,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_purify_simulate(args) -> int:
     circ = _read(load_circuit, "circuit", args.circuit)
-    out = simulate(circ, _parse_input(args.input), NOISE[args.noise])
+    out = simulate(circ, args.input, NOISE[args.noise])
     report = {
         "circuit": str(args.circuit),
         "n_pairs": circ.n_pairs,
@@ -253,7 +237,7 @@ def _cmd_purify_simulate(args) -> int:
 def _cmd_purify_search(args) -> int:
     cfg = GaConfig(population_size=args.pop, generations=args.gens,
                    n_pairs=args.n, seed=args.seed)
-    ranked = search(cfg, _parse_input(args.input), NOISE[args.noise])
+    ranked = search(cfg, args.input, NOISE[args.noise])
     best = ranked[0]
     report = {
         "n_pairs": cfg.n_pairs,
@@ -298,8 +282,8 @@ def _validate_ks(n: int, mean: float) -> list:
 
 def _cmd_validate(args) -> int:
     ions, attempts = args.ions, args.attempts
-    if min(attempts) < 1:
-        raise ValueError("attempts must be positive")
+    for a in attempts:
+        as_int("attempts", a, 1)
     # every check runs before the first draw: attempts_required checks --pc
     # and --p-ls (TrialConfig allows p_c = 0), TrialConfig --trials and --ions.
     # The bracket check populates every ion at least once (k* = n).
@@ -352,7 +336,8 @@ def _add_common(p, strict: bool = True) -> None:
 
 def _add_device(p) -> None:
     p.add_argument("--device", default=None,
-                   help="device JSON (default: IONSURGERY_DEVICE or packaged)")
+                   help="device JSON (default: IONSURGERY_DEVICE, else the "
+                        "DeviceParams defaults)")
     p.add_argument("--pc", type=float, default=None,
                    help="override the two-photon coupling probability")
     p.add_argument("--paper-compat", action="store_true",
@@ -413,8 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stephenson | werner:F | belldiag:F,px,pz,py")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     q.add_argument("--output", default=None, help="write the JSON report to file")
-    # simulate and search reject an unknown --input name as "unknown input spec"
-    q.set_defaults(fn=_cmd_purify_simulate, flags={"unknown": "--input"})
+    # simulate and search reject an --input they cannot read as "unknown input
+    # spec" or "malformed input spec"
+    q.set_defaults(fn=_cmd_purify_simulate, flags={"unknown": "--input",
+                                                    "malformed": "--input"})
 
     q = psub.add_parser("search", help="evolve a purification circuit")
     q.add_argument("--n", type=int, default=3, help="input pairs per circuit")
@@ -428,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None, help="write the JSON report to file")
     q.set_defaults(fn=_cmd_purify_search, flags={
         "n_pairs": "--n", "population_size": "--pop", "generations": "--gens",
-        "seed": "--seed", "unknown": "--input"})
+        "seed": "--seed", "unknown": "--input", "malformed": "--input"})
 
     q = psub.add_parser("benchmark", help="re-simulate a circuit directory")
     q.add_argument("--circuits", required=True, help="directory of circuit JSON")

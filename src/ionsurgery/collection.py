@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import as_int, as_real
 
 CHUNK = 16384      # trials per split Philox stream
 BLOCK_DRAWS = 2 ** 16  # draws per block of whole trials (512 KiB of float64)
@@ -58,18 +58,10 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_ions", "attempts", "trials", "seed"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.n_ions < 1:
-            raise ValueError("n_ions must be at least 1")
-        if not (0 <= self.p_entangle <= 1):
-            raise ValueError("p_entangle must lie in [0,1]")
-        if self.attempts < 0:
-            raise ValueError("attempts must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, lo in (("n_ions", 1), ("attempts", 0), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), lo))
+        object.__setattr__(self, "p_entangle",
+                           as_real("p_entangle", self.p_entangle, "[0,1]"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class CollectionResult:
 
     def empirical_tail_geq(self, k: int) -> float:
         """Empirical P(count >= k)."""
-        return float(np.mean(self.counts >= k))
+        return float(np.mean(self.counts >= as_int("k", k)))
 
     @property
     def mean(self) -> float:
@@ -241,11 +233,8 @@ def _sorted_thresholds(n_ions: int, p_entangle: float, k_star: int, trials: int,
 def wilson_interval(successes: int, trials: int, z: float = Z99):
     """Wilson score interval (lower, upper) for `successes` of `trials`,
     clipped to [0, 1]."""
-    successes, trials = as_int("successes", successes), as_int("trials", trials)
-    if not 0 < z < math.inf:
-        raise ValueError(f"z must be finite and positive, got {z!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    successes, trials = as_int("successes", successes), as_int("trials", trials, 1)
+    z = as_real("z", z, "positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in 0..trials, got {successes}")
     zz = z * z
@@ -258,18 +247,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z99):
 
 def _check_solver_inputs(n_ions: int, p_entangle: float, k_star: int, p_ls: float,
                          trials: int, seed: int) -> tuple:
-    """(config, k_star): n_ions, p_entangle, trials and seed checked by
-    TrialConfig's rule, and k_star as an int."""
+    """(config, k_star): n_ions, trials and seed checked by TrialConfig's
+    rule, p_entangle also positive, and k_star as an int."""
+    p_entangle = as_real("p_entangle", p_entangle, "(0,1]")
     config = TrialConfig(n_ions, p_entangle, 0, trials, seed)
-    k_star = as_int("k_star", k_star)
+    k_star = as_int("k_star", k_star, 1)
     if k_star > config.n_ions:
         raise ValueError("infeasible: k_star exceeds n_ions")
-    if k_star < 1:
-        raise ValueError("k_star must be at least 1")
-    if p_entangle <= 0:
-        raise ValueError("p_entangle must be positive")
-    if not 0 < p_ls <= 1:
-        raise ValueError("p_ls must be in (0, 1]")
+    as_real("p_ls", p_ls, "(0,1]")
     return config, k_star
 
 
@@ -313,6 +298,7 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
 
 def collection_report(config: TrialConfig, ks) -> dict:
     """JSON-ready summary: mean count and empirical tails at the requested ks."""
+    ks = [as_int("k", k) for k in ks]
     result = simulate_collection(config)
     return {
         "n_ions": config.n_ions,
@@ -321,5 +307,5 @@ def collection_report(config: TrialConfig, ks) -> dict:
         "trials": config.trials,
         "seed": config.seed,
         "mean_count": result.mean,
-        "empirical_tail": {str(int(k)): result.empirical_tail_geq(int(k)) for k in ks},
+        "empirical_tail": {str(k): result.empirical_tail_geq(k) for k in ks},
     }

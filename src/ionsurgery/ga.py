@@ -51,16 +51,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "n_pairs", "seed"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
+        for name, lo in (("population_size", 2), ("generations", 1), ("n_pairs", None),
+                         ("seed", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), lo))
         if self.n_pairs not in (3, 4, 5):
             raise ValueError("n_pairs must be 3, 4 or 5")
-        if self.generations < 1:
-            raise ValueError("generations must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

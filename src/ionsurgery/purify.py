@@ -234,12 +234,25 @@ class ProtocolOutcome:
 # simulator
 
 def resolve_input(spec) -> DensityMatrix:
-    """One input pair: 'stephenson' (the rotated measured pair), a
-    BellDiagonalState, a 2-qubit DensityMatrix or its 4x4 entries."""
+    """One input pair: 'stephenson' (the rotated measured pair), the text
+    'werner:F' (fidelity F, the rest split evenly over the three other Bell
+    states) or 'belldiag:F,px,pz,py', a BellDiagonalState, a 2-qubit
+    DensityMatrix or its 4x4 entries."""
     if isinstance(spec, str):
         if spec == "stephenson":
             return stephenson_pair(rotated=True)
-        raise ValueError(f"unknown input spec {spec!r}")
+        name, colon, values = spec.partition(":")
+        if not colon or name not in ("werner", "belldiag"):
+            raise ValueError(f"unknown input spec {spec!r}")
+        try:
+            if name == "werner":
+                third = 1.0 / 3.0
+                spec = BellDiagonalState(float(values), third, third, third)
+            else:
+                f, px, pz, py = (float(v) for v in values.split(","))
+                spec = BellDiagonalState(f, px, pz, py)
+        except ValueError as exc:
+            raise ValueError(f"malformed input spec {spec!r}: {exc}") from None
     if isinstance(spec, BellDiagonalState):
         return spec.to_density_matrix()
     if not isinstance(spec, DensityMatrix):

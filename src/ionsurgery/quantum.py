@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_int, as_real
+
 MAX_QUBITS = 10  # 2 * 5 pairs; joint states of the largest supported circuits
 
 HERMITICITY_TOL = 1e-10
@@ -73,9 +75,10 @@ class DensityMatrix:
         arr = np.array(self.entries, dtype=complex, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        dim = 2 ** self.num_qubits
+        object.__setattr__(self, "num_qubits", as_int("num_qubits", self.num_qubits))
         if not (1 <= self.num_qubits <= MAX_QUBITS):
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}")
+        dim = 2 ** self.num_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim} for {self.num_qubits} qubits")
 
@@ -104,9 +107,8 @@ class BellDiagonalState:
     py: float
 
     def __post_init__(self):
-        for v in (self.f, self.px, self.pz, self.py):
-            if not (0 <= v <= 1):
-                raise ValueError("weights must lie in [0,1]")
+        for name in ("f", "px", "pz", "py"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), "[0,1]"))
         if abs(self.px + self.py + self.pz - 1) > 1e-12:
             raise ValueError("px + py + pz must equal 1")
 
@@ -133,9 +135,8 @@ class NoiseModel:
     p_meas: float = 0.0
 
     def __post_init__(self):
-        for v in (self.p1, self.p2, self.p_meas):
-            if not (0 <= v <= 1):
-                raise ValueError("noise probabilities must lie in [0,1]")
+        for name in ("p1", "p2", "p_meas"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), "[0,1]"))
 
 
 IDEAL_NOISE = NoiseModel(0.0, 0.0, 0.0)
@@ -452,7 +453,7 @@ def clifford_unitary(index: int) -> np.ndarray:
     Indexing is lexicographic in the adjoint action (image of X, image of Z)
     with axis order X,Y,Z and sign order +,-.
     """
-    if not (0 <= index < 24):
+    if not (0 <= as_int("index", index) < 24):
         raise ValueError("Clifford index must be 0..23")
     return CLIFFORD_UNITARIES[index]
 

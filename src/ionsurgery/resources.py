@@ -16,14 +16,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
 
 import numpy as np
 
-from ._checks import as_int, check_keys
+from ._checks import as_int, as_real, check_keys
 
 
 @dataclass(frozen=True)
@@ -39,18 +37,13 @@ class DeviceParams:
     f_ideal: float = 0.99               # pair fidelity target
 
     def __post_init__(self):
-        if not (math.isfinite(self.pulse_rate_hz) and self.pulse_rate_hz > 0):
-            raise ValueError("pulse_rate_hz must be positive and finite")
-        for name in ("p_entangle", "p_purify", "p_ls_confidence", "f_ideal"):
-            v = getattr(self, name)
-            if not (0 < v <= 1):
-                raise ValueError(f"{name} must lie in (0,1]")
-        if not (0 < self.p_pair_confidence < 1):  # multiplexing_k's domain
-            raise ValueError("p_pair_confidence must lie in (0,1)")
+        # p_pair_confidence takes multiplexing_k's domain
+        for name, interval in (("pulse_rate_hz", "positive"), ("p_entangle", "(0,1]"),
+                               ("p_purify", "(0,1]"), ("p_pair_confidence", "(0,1)"),
+                               ("p_ls_confidence", "(0,1]"), ("f_ideal", "(0,1]")):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), interval))
         object.__setattr__(self, "pairs_per_circuit",
-                           as_int("pairs_per_circuit", self.pairs_per_circuit))
-        if self.pairs_per_circuit < 2:
-            raise ValueError("pairs_per_circuit must be at least 2")
+                           as_int("pairs_per_circuit", self.pairs_per_circuit, 2))
 
 
 @dataclass(frozen=True)
@@ -63,18 +56,14 @@ class SurgeryQuery:
     paper_compat: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "distance", as_int("distance", self.distance))
-        if self.distance < 1:
-            raise ValueError("distance must be at least 1")
+        object.__setattr__(self, "distance", as_int("distance", self.distance, 1))
         if (self.cycle_time_s is None) == (self.n_ions is None):
             raise ValueError("set exactly one of cycle_time_s and n_ions")
-        if self.cycle_time_s is not None and not (
-                math.isfinite(self.cycle_time_s) and self.cycle_time_s > 0):
-            raise ValueError("cycle_time_s must be positive and finite")
-        if self.n_ions is not None:
-            object.__setattr__(self, "n_ions", as_int("n_ions", self.n_ions))
-            if self.n_ions < 1:
-                raise ValueError("n_ions must be at least 1")
+        if self.cycle_time_s is not None:
+            object.__setattr__(self, "cycle_time_s",
+                               as_real("cycle_time_s", self.cycle_time_s, "positive"))
+        else:
+            object.__setattr__(self, "n_ions", as_int("n_ions", self.n_ions, 1))
 
 
 @dataclass(frozen=True)
@@ -97,11 +86,9 @@ class EstimateResult:
 
 def multiplexing_k(p_purify: float, p_pair_confidence: float) -> int:
     """Smallest K with 1-(1-p)^K >= P_pair, evaluated in log space."""
-    if p_purify <= 0:
-        raise ValueError("p_purify must be positive for multiplexing to terminate")
-    if not (0 < p_pair_confidence < 1):
-        raise ValueError("p_pair_confidence must lie in (0,1)")
-    if p_purify >= 1:
+    p_purify = as_real("p_purify", p_purify, "(0,1]")
+    p_pair_confidence = as_real("p_pair_confidence", p_pair_confidence, "(0,1)")
+    if p_purify == 1:
         return 1
     k = max(1, math.ceil(math.log1p(-p_pair_confidence) / math.log1p(-p_purify)))
     # integer verification against floating-point edge cases
@@ -114,21 +101,16 @@ def multiplexing_k(p_purify: float, p_pair_confidence: float) -> int:
 
 def pairs_required(distance: int, pairs_per_circuit: int, k_multiplex: int) -> int:
     """N_LS = d * N_p * K raw-pair demand of one surgery cycle."""
-    distance = as_int("distance", distance)
-    pairs_per_circuit = as_int("pairs_per_circuit", pairs_per_circuit)
-    k_multiplex = as_int("k_multiplex", k_multiplex)
-    if min(distance, pairs_per_circuit, k_multiplex) < 1:
-        raise ValueError("all factors must be at least 1")
+    distance = as_int("distance", distance, 1)
+    pairs_per_circuit = as_int("pairs_per_circuit", pairs_per_circuit, 1)
+    k_multiplex = as_int("k_multiplex", k_multiplex, 1)
     return distance * pairs_per_circuit * k_multiplex
 
 
 def p_onepair(p_entangle: float, attempts: int) -> float:
     """1 - (1-p_c)^A, numerically stable for tiny p_c."""
-    attempts = as_int("attempts", attempts)
-    if attempts < 0:
-        raise ValueError("attempts must be nonnegative")
-    if not 0 <= p_entangle <= 1:
-        raise ValueError("p_entangle must lie in [0,1]")
+    attempts = as_int("attempts", attempts, 0)
+    p_entangle = as_real("p_entangle", p_entangle, "[0,1]")
     if attempts == 0 or p_entangle == 0:
         return 0.0
     if p_entangle >= 1:
@@ -138,13 +120,10 @@ def p_onepair(p_entangle: float, attempts: int) -> float:
 
 def binomial_tail_geq(n: int, p: float, k: int) -> float:
     """P(X >= k) for X ~ Binomial(n, p), to about 1e-15 (see `_tail`)."""
-    n, k = as_int("n", n), as_int("k", k)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n, k = as_int("n", n, 0), as_int("k", k)
     if not (0 <= k <= n + 1):
         raise ValueError("k must lie in 0..n+1")
-    if not (0 <= p <= 1):
-        raise ValueError("p must lie in [0,1]")
+    p = as_real("p", p, "[0,1]")
     if k == 0:
         return 1.0
     if k == n + 1:
@@ -456,13 +435,9 @@ def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
 def attempts_required(n_ions: int, p_entangle: float, k_star: int,
                       p_ls: float) -> int:
     """Smallest attempt budget A with P(X >= k_star | n_ions, A) >= p_ls."""
-    n_ions, k_star = as_int("n_ions", n_ions), as_int("k_star", k_star)
-    if n_ions < 0:
-        raise ValueError("n_ions must be non-negative")
-    if not 0 < p_entangle <= 1:
-        raise ValueError("p_entangle must be in (0, 1]")
-    if not 0 < p_ls <= 1:
-        raise ValueError("p_ls must be in (0, 1]")
+    n_ions, k_star = as_int("n_ions", n_ions, 0), as_int("k_star", k_star)
+    p_entangle = as_real("p_entangle", p_entangle, "(0,1]")
+    p_ls = as_real("p_ls", p_ls, "(0,1]")
     if k_star < 1:
         return 0
     if k_star > n_ions:
@@ -513,8 +488,8 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     for d in distances:  # the queries min_ions would get check d and T
         for t in cycle_times_s:
             SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
-    if not all(0 < pc <= 1 for pc in p_c_grid):
-        raise ValueError("p_c_grid values must lie in (0,1]")
+    for pc in p_c_grid:  # the rows keep the values as given
+        as_real("p_c_grid value", pc, "(0,1]")
     k_star = np.array([_demand(d, device, paper_compat)[2] for d in distances])
     budgets = [int(math.floor(t * device.pulse_rate_hz)) for t in cycle_times_s]
     p1 = np.array([p_onepair(pc, b) for b in budgets for pc in p_c_grid])
@@ -546,29 +521,15 @@ def load_device(path) -> DeviceParams:
 
 
 def device_from_dict(raw: dict) -> DeviceParams:
-    """Device from short-name keys; omitted keys take the packaged defaults."""
+    """Device from short-name keys; omitted keys take DeviceParams' defaults."""
     check_keys(raw, _DEVICE_KEYS, "device", optional=_DEVICE_KEYS)
-    ref = importlib_resources.files("ionsurgery").joinpath("data/device_default.json")
-    with ref.open() as fh:
-        merged = {**json.load(fh), **raw}
-    values = {field: _device_value(key, merged[key]) for key, field in _DEVICE_KEYS.items()}
+    merged = {**device_to_dict(DeviceParams()), **raw}
     try:
-        return DeviceParams(**values)
+        return DeviceParams(**{field: merged[key] for key, field in _DEVICE_KEYS.items()})
     except ValueError as exc:  # DeviceParams names a field; name the file key
         field, rest = str(exc).split(" ", 1)
         key = next(k for k, f in _DEVICE_KEYS.items() if f == field)
         raise ValueError(f"{key} {rest}") from None
-
-
-def _device_value(key: str, v):
-    """Every float field must be a finite JSON number; DeviceParams checks N_p."""
-    if key == "N_p":
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{key} must be a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:  # NaN, infinities, ints past float range
-        raise ValueError(f"{key} must be finite, got {v!r}")
-    return float(v)
 
 
 def device_to_dict(device: DeviceParams) -> dict:
@@ -576,5 +537,5 @@ def device_to_dict(device: DeviceParams) -> dict:
 
 
 def default_device() -> DeviceParams:
-    """The packaged reference device constants."""
-    return device_from_dict({})
+    """The reference device constants: DeviceParams' defaults."""
+    return DeviceParams()

@@ -228,7 +228,7 @@ def test_wilson_interval_reference_values():
             wilson_interval(successes, trials)
     # these used to give (nan, nan), and a lower end above the upper one
     for z in (float("nan"), -1.0, 0.0, float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="^z must be finite and positive"):
+        with pytest.raises(ValueError, match="^z must be positive and finite"):
             wilson_interval(50, 100, z)
 
 
@@ -382,6 +382,14 @@ def test_collection_report_shape_and_determinism():
     assert rep["mean_count"] == r.mean
     assert rep["empirical_tail"]["5"] == r.empirical_tail_geq(5)
     json.dumps(rep)  # JSON-ready
+    # a tail's k is a count: 2.5 used to be reported as "2", NaN to read 0.0
+    tail = collection_report(cfg, [np.int64(5)])["empirical_tail"]
+    assert tail == {"5": rep["empirical_tail"]["5"]}
+    for k in (2.5, float("nan"), True, "5"):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            collection_report(cfg, [k])
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            r.empirical_tail_geq(k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Package surface: the public name list and the cost of importing it."""
 
 import ast
+import functools
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +99,29 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used - exempt) == []
 
 
+# the wording of the two number rules in `ionsurgery._checks`
+NUMBER_RULE_WORDS = ("must be an integer", "must be a number", "must be non-negative",
+                     "must be at least", "must lie in [", "must lie in (",
+                     "must be positive")
+
+
+@pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_number_rules_live_in_checks_alone(path):
+    # every count and every real parameter is checked by `_checks.as_int` or
+    # `_checks.as_real`; a module that words such a check itself has a copy
+    if path.name == "_checks.py":
+        return
+    copies = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", None) == "ValueError":
+            text = "".join(part.value for arg in node.exc.args for part in ast.walk(arg)
+                           if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            copies += [(node.lineno, w) for w in NUMBER_RULE_WORDS if w in text]
+    assert copies == []
+
+
 @pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
@@ -109,18 +134,111 @@ def test_no_module_imports_scipy(path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
-@pytest.mark.parametrize("make, fields", [
-    (lambda i: isg.DeviceParams(pairs_per_circuit=i(3)), ("pairs_per_circuit",)),
-    (lambda i: isg.SurgeryQuery(distance=i(3), n_ions=i(100)), ("distance", "n_ions")),
-    (lambda i: isg.GaConfig(population_size=i(4), generations=i(2), n_pairs=i(3),
-                            seed=i(5)), ("population_size", "generations", "n_pairs", "seed")),
-    (lambda i: isg.TrialConfig(n_ions=i(5), p_entangle=0.5, attempts=i(1), trials=i(10),
-                               seed=i(0)), ("n_ions", "attempts", "trials", "seed")),
-    (lambda i: isg.PurificationCircuit(i(2), (), ()), ("n_pairs",)),
-], ids=["device", "query", "ga", "trials", "circuit"])
-def test_numpy_integer_counts_are_stored_as_plain_ints(make, fields):
+# (constructor, a valid value of each count, each count's lower bound); a
+# count without one is checked against a range or a set instead
+COUNTS = {
+    "device": (isg.DeviceParams, dict(pairs_per_circuit=3), dict(pairs_per_circuit=2)),
+    "query": (isg.SurgeryQuery, dict(distance=3, n_ions=100), dict(distance=1, n_ions=1)),
+    "ga": (isg.GaConfig, dict(population_size=4, generations=2, n_pairs=3, seed=5),
+           dict(population_size=2, generations=1, seed=0)),
+    "trials": (functools.partial(isg.TrialConfig, p_entangle=0.5),
+               dict(n_ions=5, attempts=1, trials=10, seed=0),
+               dict(n_ions=1, attempts=0, trials=1, seed=0)),
+    "circuit": (functools.partial(isg.PurificationCircuit, ops=(), accept=()),
+                dict(n_pairs=2), {}),
+}
+# the same for the functions that take a count
+COUNT_ARGS = {
+    "pairs_required": (isg.pairs_required, dict(distance=3, pairs_per_circuit=3,
+                                                k_multiplex=5),
+                       dict(distance=1, pairs_per_circuit=1, k_multiplex=1)),
+    "p_onepair": (functools.partial(isg.p_onepair, 0.5), dict(attempts=3), dict(attempts=0)),
+    "binomial_tail_geq": (functools.partial(isg.binomial_tail_geq, p=0.5, k=0), dict(n=3),
+                          dict(n=0)),
+    "attempts_required": (functools.partial(isg.attempts_required, p_entangle=0.5,
+                                            k_star=0, p_ls=0.9),
+                          dict(n_ions=10), dict(n_ions=0)),
+    "wilson_interval": (isg.wilson_interval, dict(successes=0, trials=10), dict(trials=1)),
+    "empirical_min_attempts": (functools.partial(isg.empirical_min_attempts, 10, 1.0,
+                                                 p_ls=0.9, trials=20, seed=0),
+                               dict(k_star=5), dict(k_star=1)),
+}
+
+
+@pytest.mark.parametrize("make, counts", [v[:2] for v in COUNTS.values()], ids=list(COUNTS))
+def test_numpy_integer_counts_are_stored_as_plain_ints(make, counts):
     # one integer rule: NumPy integers pass wherever a count does, as int
     for i in (np.int64, np.int32, np.uint8):
-        obj = make(i)
-        assert obj == make(int)
-        assert [type(getattr(obj, f)) for f in fields] == [int] * len(fields)
+        obj = make(**{f: i(v) for f, v in counts.items()})
+        assert obj == make(**counts)
+        assert [type(getattr(obj, f)) for f in counts] == [int] * len(counts)
+
+
+@pytest.mark.parametrize("make, counts, lows", [*COUNTS.values(), *COUNT_ARGS.values()],
+                         ids=[*COUNTS, *COUNT_ARGS])
+def test_every_count_has_its_lower_bound(make, counts, lows):
+    # one message per bound: "non-negative" for 0, "at least lo" above it
+    for field, lo in lows.items():
+        make(**{**counts, field: lo})
+        words = "non-negative" if lo == 0 else f"at least {lo}"
+        with pytest.raises(ValueError, match=f"^{field} must be {words}, got {lo - 1}$"):
+            make(**{**counts, field: lo - 1})
+
+
+# (call of the value, the name its messages start with, a valid value, a value
+# outside the interval, the attribute that stores the value or None)
+REALS = {
+    "R": (lambda v: isg.device_from_dict({"R": v}), "R", 2e6, 0.0, "pulse_rate_hz"),
+    **{name: (lambda v, name=name: isg.DeviceParams(**{name: v}), name, good, outside, name)
+       for name, good, outside in (("pulse_rate_hz", 2e6, -1.0), ("p_entangle", 1.0, 0.0),
+                                   ("p_purify", 1.0, 1.5), ("p_pair_confidence", 0.5, 1.0),
+                                   ("p_ls_confidence", 1.0, 0.0), ("f_ideal", 1.0, -0.5))},
+    "cycle_time_s": (lambda v: isg.SurgeryQuery(distance=3, cycle_time_s=v), "cycle_time_s",
+                     2.0, 0.0, "cycle_time_s"),
+    "multiplexing_k.p_purify": (lambda v: isg.multiplexing_k(v, 0.999), "p_purify",
+                                1.0, 1.5, None),
+    "multiplexing_k.p_pair_confidence": (lambda v: isg.multiplexing_k(0.819, v),
+                                         "p_pair_confidence", 0.5, 1.0, None),
+    "p_onepair": (lambda v: isg.p_onepair(v, 3), "p_entangle", 1.0, -0.1, None),
+    "binomial_tail_geq": (lambda v: isg.binomial_tail_geq(10, v, 3), "p", 1.0, 1.3, None),
+    "attempts_required.p_entangle": (lambda v: isg.attempts_required(10, v, 5, 0.9),
+                                     "p_entangle", 1.0, 0.0, None),
+    "attempts_required.p_ls": (lambda v: isg.attempts_required(10, 0.5, 5, v), "p_ls",
+                               1.0, 0.0, None),
+    "sweep_coupling": (lambda v: list(isg.sweep_coupling([3], [1e-3], [v], DEVICE)),
+                       "p_c_grid value", 1.0, 0.0, None),
+    "TrialConfig": (lambda v: isg.TrialConfig(10, v, 1, 1, 1), "p_entangle", 1.0, 1.5,
+                    "p_entangle"),
+    "wilson_interval": (lambda v: isg.wilson_interval(5, 10, v), "z", 2.0, 0.0, None),
+    "empirical_min_attempts.p_entangle": (
+        lambda v: isg.empirical_min_attempts(10, v, 5, 0.9, 20, 0), "p_entangle",
+        1.0, 0.0, None),
+    "empirical_attempts_bracket.p_ls": (
+        lambda v: isg.empirical_attempts_bracket(10, 1.0, 5, v, 20, 0), "p_ls",
+        1.0, 1.5, None),
+    **{name: (lambda v, name=name: isg.NoiseModel(**{name: v}), name, 1.0, 1.5, name)
+       for name in ("p1", "p2", "p_meas")},
+    # px holds the whole remainder unless another weight is the one set
+    **{name: (lambda v, name=name: isg.BellDiagonalState(
+        **{"f": 0.9, "px": 1.0 if name == "f" else 0.0, "pz": 0.0, "py": 0.0, name: v}),
+        name, 1.0, -0.5, name) for name in ("f", "px", "pz", "py")},
+}
+DEVICE = isg.DeviceParams()
+
+
+@pytest.mark.parametrize("call, field, good, outside, attr", REALS.values(), ids=list(REALS))
+def test_every_real_parameter_takes_one_rule(call, field, good, outside, attr):
+    # bools, text, None, NaN, the infinities, ints past float range and values
+    # outside the interval raise ValueError naming the field; NumPy floats and
+    # ints pass, and are stored as plain floats.  A None cycle_time_s is unset,
+    # which SurgeryQuery's check of the two fields rejects.
+    unset = (None,) if field != "cycle_time_s" else ()
+    for bad in (True, "0.5", *unset, math.nan, math.inf, -math.inf, 10 ** 400, outside):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            call(bad)
+    want = call(good)
+    for v in (np.float64(good), np.float32(good), *([int(good)] if good % 1 == 0 else [])):
+        got = call(v)
+        assert got == want
+        if attr is not None:
+            assert type(getattr(got, attr)) is float
