@@ -1,7 +1,8 @@
 """The package's two number rules, `as_int` for every count, index and seed
-and `as_real` for every real parameter, and the one rule for the JSON
-objects its loaders read.  Each rule rejects a value with a ValueError whose
-message starts with the field's name, which the CLI maps to a flag."""
+and `as_real` for every real parameter, its flag rule `as_flag`, and the one
+rule for the JSON objects its loaders read.  Each rule rejects a value with a
+ValueError whose message starts with the field's name, which the CLI maps to
+a flag."""
 from __future__ import annotations
 
 import math
@@ -52,6 +53,14 @@ def as_real(name: str, v, interval: str) -> float:
     if not ok:  # also NaN, which fails every comparison
         raise ValueError(f"{name} must {INTERVALS[interval]}, got {v!r}")
     return x
+
+
+def as_flag(name: str, v) -> bool:
+    """v as a plain bool: True, False and NumPy bools pass; anything else,
+    also 0, 1 and text, raises ValueError naming `name`."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    raise ValueError(f"{name} must be True or False, got {v!r}")
 
 
 def check_object(obj, what: str) -> None:

@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 only-infeasible results (or failed validation)
 under --strict, 2 usage error: a bad flag, any input value the library
 rejects with ValueError, or an unwritable output path; stdout then stays
 empty, and the stderr error line names the flag that set the rejected
-value, or the device or circuit file that held it.  The device constants
-default to those of `DeviceParams`; a --device file or the IONSURGERY_DEVICE
-environment variable overrides them.
+value, or the device or circuit file that held it: a library message starts
+with the field it rejects, and each flag's dest is the field it sets.  The
+device constants default to those of `DeviceParams`; a --device file or the
+IONSURGERY_DEVICE environment variable overrides them.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import as_int, as_real
 from .collection import TrialConfig, empirical_attempts_bracket, simulate_collection
 from .ga import GaConfig, benchmark_sweep, search
 from .purify import load_circuit, save_circuit, simulate
@@ -83,8 +84,8 @@ def _parse_times_s(text: str) -> list:
 
 
 def _cycle_times_s(args) -> list:
-    if args.cycle_time_us is not None:
-        return args.cycle_time_us
+    if args.cycle_time_s is not None:
+        return args.cycle_time_s
     preset = args.paradigm or "all"
     names = list(PARADIGMS) if preset == "all" else [preset]
     return [PARADIGMS[n] for n in names]
@@ -102,7 +103,7 @@ def _device(args):
     path = args.device or os.environ.get("IONSURGERY_DEVICE")
     dev = _read(load_device, "device", path) if path else default_device()
     # replace() re-runs DeviceParams' checks on the new p_entangle
-    return dev if args.pc is None else replace(dev, p_entangle=args.pc)
+    return dev if args.p_entangle is None else replace(dev, p_entangle=args.p_entangle)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def _cmd_rate(args) -> int:
     dev = _device(args)
     rows = []
     for d in args.distance:
-        for n in args.ions:
+        for n in args.n_ions:
             q = SurgeryQuery(distance=d, n_ions=n,
                              paper_compat=args.paper_compat)
             res = max_rate(q, dev)
@@ -204,14 +205,13 @@ def _cmd_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dev = _device(args)
-    if not args.pc_from <= args.pc_to:
+    points = as_int("points", args.points, 1)
+    lo, hi = (as_real(name, getattr(args, name), "(0,1]") for name in ("pc_from", "pc_to"))
+    if lo > hi:
         raise ValueError("need --pc-from <= --pc-to")
-    # NumPy sets both endpoints exactly, so --points 1 gives [--pc-from];
-    # sweep_coupling rejects the empty grid of --points 0 and any p_c out of
-    # range, also the nan that a negative or infinite endpoint gives here
-    with np.errstate(invalid="ignore"):
-        grid = np.geomspace(args.pc_from, args.pc_to, args.points).tolist()
-    cells = sweep_coupling(args.distances, args.cycle_times_us, grid, dev,
+    # NumPy sets both endpoints exactly, so --points 1 gives [--pc-from]
+    grid = np.geomspace(lo, hi, points).tolist()
+    cells = sweep_coupling(args.distance, args.cycle_time_s, grid, dev,
                            paper_compat=args.paper_compat)
     rows = ({"distance": d, "cycle_time_us": t * 1e6, "p_c": pc, "min_ions": answer,
              "feasible": feasible} for d, t, pc, answer, feasible in cells)
@@ -235,8 +235,8 @@ def _cmd_purify_simulate(args) -> int:
 
 
 def _cmd_purify_search(args) -> int:
-    cfg = GaConfig(population_size=args.pop, generations=args.gens,
-                   n_pairs=args.n, seed=args.seed)
+    cfg = GaConfig(population_size=args.population_size, generations=args.generations,
+                   n_pairs=args.n_pairs, seed=args.seed)
     ranked = search(cfg, args.input, NOISE[args.noise])
     best = ranked[0]
     report = {
@@ -281,24 +281,24 @@ def _validate_ks(n: int, mean: float) -> list:
 
 
 def _cmd_validate(args) -> int:
-    ions, attempts = args.ions, args.attempts
+    ions, attempts, pc = args.n_ions, args.attempts, args.p_entangle
     for a in attempts:
         as_int("attempts", a, 1)
     # every check runs before the first draw: attempts_required checks --pc
     # and --p-ls (TrialConfig allows p_c = 0), TrialConfig --trials and --ions.
     # The bracket check populates every ion at least once (k* = n).
     n_b = min(ions)
-    a_ana = attempts_required(n_b, args.pc, n_b, args.p_ls)
-    configs = [TrialConfig(n_ions=n, p_entangle=args.pc, attempts=a,
+    a_ana = attempts_required(n_b, pc, n_b, args.p_ls)
+    configs = [TrialConfig(n_ions=n, p_entangle=pc, attempts=a,
                            trials=args.trials, seed=args.seed + point)
                for point, (n, a) in enumerate(itertools.product(ions, attempts))]
-    lines = [f"# collection vs analytic: p_c={args.pc:g} "
+    lines = [f"# collection vs analytic: p_c={pc:g} "
              f"trials={args.trials} seed={args.seed}"]
     ok = True
     for cfg in configs:
         n, a = cfg.n_ions, cfg.attempts
         res = simulate_collection(cfg)
-        p1 = p_onepair(args.pc, a)
+        p1 = p_onepair(pc, a)
         for k in _validate_ks(n, n * p1):
             ana = binomial_tail_geq(n, p1, k)
             emp = res.empirical_tail_geq(k)
@@ -310,7 +310,7 @@ def _cmd_validate(args) -> int:
                 f"tail n={n} attempts={a} k={k} analytic={ana:.6f} "
                 f"empirical={emp:.6f} z={ztxt} "
                 f"{'PASS' if good else 'FAIL'}")
-    lo, hi = empirical_attempts_bracket(n_b, args.pc, n_b, args.p_ls,
+    lo, hi = empirical_attempts_bracket(n_b, pc, n_b, args.p_ls,
                                         args.trials, args.seed + len(configs))
     good = lo <= a_ana and (hi is None or a_ana <= hi)
     ok &= good
@@ -338,10 +338,16 @@ def _add_device(p) -> None:
     p.add_argument("--device", default=None,
                    help="device JSON (default: IONSURGERY_DEVICE, else the "
                         "DeviceParams defaults)")
-    p.add_argument("--pc", type=float, default=None,
+    p.add_argument("--pc", dest="p_entangle", metavar="PC", type=float, default=None,
                    help="override the two-photon coupling probability")
     p.add_argument("--paper-compat", action="store_true",
                    help="use the strict population threshold (k* = N_LS + 1)")
+
+
+def _leaf(p, fn, **flags) -> None:
+    """Subcommand `p` runs `fn`; its field->flag map is each option's dest, plus `flags`."""
+    flags = {a.dest: a.option_strings[0] for a in p._actions if a.option_strings} | flags
+    p.set_defaults(fn=fn, flags=flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,39 +361,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=_parse_ints, default="3..9",
                    help="e.g. 9, 3,5,7 or 3..9")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--cycle-time-us", type=_parse_times_s, default=None,
-                   help="cycle times in microseconds, e.g. 1000,100,10")
+    g.add_argument("--cycle-time-us", dest="cycle_time_s", metavar="CYCLE_TIME_US",
+                   type=_parse_times_s, help="cycle times in microseconds, e.g. 1000,100,10")
     g.add_argument("--paradigm", choices=(*PARADIGMS, "all"), default=None)
     _add_device(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_min_ions, flags={
-        "distance": "--distance", "cycle_time_s": "--cycle-time-us",
-        "p_entangle": "--pc"})
+    _leaf(p, _cmd_min_ions)
 
     p = sub.add_parser("rate", help="cycle rate per (distance, ion budget)")
     p.add_argument("--distance", type=_parse_ints, default="3..9")
-    p.add_argument("--ions", type=_parse_ints, default="100,1000,10000",
+    p.add_argument("--ions", dest="n_ions", metavar="IONS", type=_parse_ints,
+                   default="100,1000,10000",
                    help="communication-ion budgets, e.g. 100,1000,10000")
     _add_device(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_rate, flags={
-        "distance": "--distance", "n_ions": "--ions", "p_entangle": "--pc"})
+    _leaf(p, _cmd_rate)
 
     p = sub.add_parser("sweep", help="min ions vs coupling probability")
-    p.add_argument("--distances", type=_parse_ints, default="3,6,9")
-    p.add_argument("--cycle-times-us", type=_parse_times_s, default="1000,100,10")
+    p.add_argument("--distances", dest="distance", metavar="DISTANCES",
+                   type=_parse_ints, default="3,6,9")
+    p.add_argument("--cycle-times-us", dest="cycle_time_s", metavar="CYCLE_TIMES_US",
+                   type=_parse_times_s, default="1000,100,10")
     p.add_argument("--pc-from", type=float, default=1e-4)
     p.add_argument("--pc-to", type=float, default=1.0)
     p.add_argument("--points", type=int, default=50)
     _add_device(p)
     _add_common(p)
-    # --pc-from <= --pc-to is checked first, so a zero endpoint that NumPy's
-    # geomspace rejects ("Geometric sequence ...") puts --pc-from at or below 0;
-    # it rejects a negative --points as "Number of samples ..."
-    p.set_defaults(fn=_cmd_sweep, flags={
-        "distance": "--distances", "cycle_time_s": "--cycle-times-us",
-        "p_entangle": "--pc", "p_c_grid": "--pc-from/--pc-to", "grids": "--points",
-        "Geometric": "--pc-from", "Number": "--points"})
+    # a grid value is set by --pc-from, --pc-to and --points together
+    _leaf(p, _cmd_sweep, p_c_grid="--pc-from/--pc-to")
 
     p = sub.add_parser("purify", help="purification circuit tools")
     psub = p.add_subparsers(dest="purify_command", required=True)
@@ -398,44 +399,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stephenson | werner:F | belldiag:F,px,pz,py")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     q.add_argument("--output", default=None, help="write the JSON report to file")
-    # simulate and search reject an --input they cannot read as "unknown input
-    # spec" or "malformed input spec"
-    q.set_defaults(fn=_cmd_purify_simulate, flags={"unknown": "--input",
-                                                    "malformed": "--input"})
+    _leaf(q, _cmd_purify_simulate)
 
     q = psub.add_parser("search", help="evolve a purification circuit")
-    q.add_argument("--n", type=int, default=3, help="input pairs per circuit")
-    q.add_argument("--pop", type=int, default=100)
-    q.add_argument("--gens", type=int, default=150)
+    q.add_argument("--n", dest="n_pairs", metavar="N", type=int, default=3,
+                   help="input pairs per circuit")
+    q.add_argument("--pop", dest="population_size", metavar="POP", type=int, default=100)
+    q.add_argument("--gens", dest="generations", metavar="GENS", type=int, default=150)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--input", default="stephenson")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     q.add_argument("--circuit-out", default=None,
                    help="also write the best circuit JSON here")
     q.add_argument("--output", default=None, help="write the JSON report to file")
-    q.set_defaults(fn=_cmd_purify_search, flags={
-        "n_pairs": "--n", "population_size": "--pop", "generations": "--gens",
-        "seed": "--seed", "unknown": "--input", "malformed": "--input"})
+    _leaf(q, _cmd_purify_search)
 
     q = psub.add_parser("benchmark", help="re-simulate a circuit directory")
     q.add_argument("--circuits", required=True, help="directory of circuit JSON")
     q.add_argument("--noise", choices=tuple(NOISE), default="paper")
     _add_common(q, strict=False)
-    q.set_defaults(fn=_cmd_purify_benchmark)
+    _leaf(q, _cmd_purify_benchmark)
 
     p = sub.add_parser("validate", help="Monte Carlo vs analytic collection")
-    p.add_argument("--ions", type=_parse_ints, default="100")
+    p.add_argument("--ions", dest="n_ions", metavar="IONS", type=_parse_ints, default="100")
     p.add_argument("--attempts", type=_parse_ints, default="500,1000,2000")
-    p.add_argument("--pc", type=float, default=2.18e-4)
+    p.add_argument("--pc", dest="p_entangle", metavar="PC", type=float, default=2.18e-4)
     p.add_argument("--p-ls", type=float, default=0.999)
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--output", default=None)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when any check fails")
-    p.set_defaults(fn=_cmd_validate, flags={
-        "n_ions": "--ions", "attempts": "--attempts", "p_entangle": "--pc",
-        "p_ls": "--p-ls", "trials": "--trials", "seed": "--seed"})
+    _leaf(p, _cmd_validate)
 
     return ap
 
@@ -448,7 +443,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a bad input value or an unwritable output
         # a library message starts with the field it rejects; name its flag
         msg = str(exc)
-        flag = getattr(args, "flags", {}).get(msg.split(" ", 1)[0])
+        flag = args.flags.get(msg.split(" ", 1)[0])
         parser.error(f"{flag}: {msg}" if flag else msg)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import as_flag, as_int
 from .purify import (
     BASES,
     RELATIONS,
@@ -215,6 +215,7 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
     pool that downstream benchmarking draws from.  Ties keep population
     order, or first-evaluation order in the archive.
     """
+    archive = as_flag("archive", archive)
     rho = resolve_input(input_spec)
     rng = np.random.default_rng(config.seed)
     n_pairs = config.n_pairs

@@ -243,7 +243,7 @@ def resolve_input(spec) -> DensityMatrix:
             return stephenson_pair(rotated=True)
         name, colon, values = spec.partition(":")
         if not colon or name not in ("werner", "belldiag"):
-            raise ValueError(f"unknown input spec {spec!r}")
+            raise ValueError(f"input spec {spec!r} is unknown")
         try:
             if name == "werner":
                 third = 1.0 / 3.0
@@ -252,7 +252,7 @@ def resolve_input(spec) -> DensityMatrix:
                 f, px, pz, py = (float(v) for v in values.split(","))
                 spec = BellDiagonalState(f, px, pz, py)
         except ValueError as exc:
-            raise ValueError(f"malformed input spec {spec!r}: {exc}") from None
+            raise ValueError(f"input spec {spec!r} is malformed: {exc}") from None
     if isinstance(spec, BellDiagonalState):
         return spec.to_density_matrix()
     if not isinstance(spec, DensityMatrix):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_int, as_real
+from ._checks import as_flag, as_int, as_real
 
 MAX_QUBITS = 10  # 2 * 5 pairs; joint states of the largest supported circuits
 
@@ -523,7 +523,7 @@ def stephenson_pair(rotated: bool = True) -> DensityMatrix:
     moves the dominant weight onto phi+ (fidelity 0.933172); rotated=False
     is the state as measured.
     """
-    m = _STEPHENSON_ROTATED if rotated else _STEPHENSON_RAW
+    m = _STEPHENSON_ROTATED if as_flag("rotated", rotated) else _STEPHENSON_RAW
     return DensityMatrix(2, m)
 
 

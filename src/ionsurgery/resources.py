@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_int, as_real, check_keys
+from ._checks import as_flag, as_int, as_real, check_keys
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class SurgeryQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "distance", as_int("distance", self.distance, 1))
+        object.__setattr__(self, "paper_compat", as_flag("paper_compat", self.paper_compat))
         if (self.cycle_time_s is None) == (self.n_ions is None):
             raise ValueError("set exactly one of cycle_time_s and n_ions")
         if self.cycle_time_s is not None:
@@ -480,12 +481,13 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     row; each row equals the min_ions answer for its cell, and the rows are
     built as they are read.
     """
-    distances = list(distances)
-    cycle_times_s = list(cycle_times_s)
-    p_c_grid = list(p_c_grid)
-    if not (distances and cycle_times_s and p_c_grid):
-        raise ValueError("grids must be non-empty")
-    for d in distances:  # the queries min_ions would get check d and T
+    grids = {"distances": list(distances), "cycle_times_s": list(cycle_times_s),
+             "p_c_grid": list(p_c_grid)}
+    for name, grid in grids.items():
+        if not grid:
+            raise ValueError(f"{name} must be non-empty")
+    distances, cycle_times_s, p_c_grid = grids.values()
+    for d in distances:  # the queries min_ions would get check d, T and paper_compat
         for t in cycle_times_s:
             SurgeryQuery(distance=d, cycle_time_s=t, paper_compat=paper_compat)
     for pc in p_c_grid:  # the rows keep the values as given

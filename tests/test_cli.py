@@ -12,6 +12,8 @@ import ionsurgery as isg
 from ionsurgery import cli
 from ionsurgery.cli import main
 
+CIRCUIT = Path(__file__).parent.parent / "circuits" / "ga_3to1.json"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -440,7 +442,7 @@ def test_usage_errors_exit_2(capsys, argv):
     (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-from", "0"],
      "--pc-from"),
     (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-to", "2"],
-     "--pc-from/--pc-to"),
+     "--pc-to"),
     (["validate", "--p-ls", "1.5"], "--p-ls"),
     (["validate", "--trials", "0"], "--trials"),
     (["rate", "--distance", "3", "--ions", "100", "--pc", "1e-21"], "--pc"),
@@ -450,9 +452,24 @@ def test_usage_errors_exit_2(capsys, argv):
     (["min-ions", "--distance", "3", "--paradigm", "t1000us", "--pc", "1e-300"], "--pc"),
     (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc-from", "1e-300",
       "--pc-to", "1e-300", "--points", "1"], "--pc-from/--pc-to"),
+    # with the rows above, one bad value for every flag that sets a field
+    (["min-ions", "--distance", "0", "--paradigm", "t1000us"], "--distance"),
+    (["rate", "--distance", "0", "--ions", "100"], "--distance"),
+    (["sweep", "--distances", "0", "--cycle-times-us", "1000"], "--distances"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "0"], "--cycle-times-us"),
+    (["sweep", "--distances", "3", "--cycle-times-us", "1000", "--pc", "0"], "--pc"),
+    (["purify", "simulate", "--circuit", str(CIRCUIT), "--input", "ghz"], "--input"),
+    (["purify", "search", "--n", "1"], "--n"),
+    (["purify", "search", "--pop", "1"], "--pop"),
+    (["purify", "search", "--gens", "0"], "--gens"),
+    (["purify", "search", "--input", "werner:x"], "--input"),
+    (["validate", "--ions", "0"], "--ions"),
+    (["validate", "--attempts", "0"], "--attempts"),
+    (["validate", "--pc", "0"], "--pc"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
-    # the library names the field it rejects; the CLI error line names the flag
+    # the library names the field it rejects; each flag's dest is the field
+    # it sets, so the CLI error line names the flag
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

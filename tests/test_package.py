@@ -99,17 +99,18 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used - exempt) == []
 
 
-# the wording of the two number rules in `ionsurgery._checks`
+# the wording of the two number rules and the flag rule in `ionsurgery._checks`
 NUMBER_RULE_WORDS = ("must be an integer", "must be a number", "must be non-negative",
                      "must be at least", "must lie in [", "must lie in (",
-                     "must be positive")
+                     "must be positive", "must be True or False")
 
 
 @pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_number_rules_live_in_checks_alone(path):
-    # every count and every real parameter is checked by `_checks.as_int` or
-    # `_checks.as_real`; a module that words such a check itself has a copy
+    # every count, real parameter and flag is checked by `_checks.as_int`,
+    # `_checks.as_real` or `_checks.as_flag`; a module that words such a check
+    # itself has a copy
     if path.name == "_checks.py":
         return
     copies = []
@@ -242,3 +243,31 @@ def test_every_real_parameter_takes_one_rule(call, field, good, outside, attr):
         assert got == want
         if attr is not None:
             assert type(getattr(got, attr)) is float
+
+
+# (call of a flag's value, the name its message starts with)
+FLAGS = {
+    "SurgeryQuery.paper_compat": (lambda v: isg.min_ions(isg.SurgeryQuery(
+        distance=3, cycle_time_s=1e-3, paper_compat=v), DEVICE).answer, "paper_compat"),
+    "sweep_coupling.paper_compat": (lambda v: list(isg.sweep_coupling(
+        [3], [1e-3], [1.0], DEVICE, paper_compat=v)), "paper_compat"),
+    "search.archive": (lambda v: [r.fitness for r in isg.search(
+        isg.GaConfig(population_size=4, generations=1, seed=0), "werner:0.9",
+        isg.DEVICE_NOISE, archive=v)], "archive"),
+    "stephenson_pair.rotated": (lambda v: isg.stephenson_pair(rotated=v).entries.tolist(),
+                                "rotated"),
+}
+
+
+@pytest.mark.parametrize("call, field", FLAGS.values(), ids=list(FLAGS))
+def test_every_flag_takes_one_rule(call, field):
+    # True, False and NumPy bools pass; any other value, also a truthy 'false'
+    # or 1 that once acted as True and a falsy 0 that acted as False, raises
+    # ValueError naming the field
+    for bad in ("false", "no", 0, 1, 1.0, None):
+        with pytest.raises(ValueError, match=f"^{field} must be True or False, got "):
+            call(bad)
+    assert call(True) != call(False)
+    for v in (True, False):
+        assert call(np.bool_(v)) == call(v)
+

@@ -344,7 +344,7 @@ def test_simulate_takes_the_input_specs_search_takes():
     for spec in ("stephenson", rho.entries,
                  ["stephenson", rho, rho.entries.tolist()]):
         assert fingerprint(isg.simulate(circ, spec, isg.DEVICE_NOISE)) == want
-    with pytest.raises(ValueError, match="unknown input spec 'werner'"):
+    with pytest.raises(ValueError, match="input spec 'werner' is unknown"):
         isg.simulate(circ, "werner", isg.DEVICE_NOISE)
     with pytest.raises(TypeError):
         isg.simulate(circ, [0.94] * 3, isg.DEVICE_NOISE)

@@ -265,33 +265,48 @@ def _tail_grid():
     return np.array(k), np.array(n), np.array(p)
 
 
-def _tail_by_mpmath(k: int, n: int, p: float):
-    """P(X >= k), X ~ Binomial(n, p), summed at 40 digits from the first
-    term beyond the mean outward, to 1e-25 of the sum."""
+def _tails_by_mpmath(n: int, p: float, ks) -> dict:
+    """{k: P(X >= k)} for X ~ Binomial(n, p), summed at 40 digits.  The k on
+    one side of the mean are taken outermost first: each tail is summed from
+    its first term beyond the mean outward, to 1e-25 of the sum, or until it
+    meets the terms of the k taken before it, whose sum it then adds.  So
+    close k share one run of terms, and far ones such as n/4 and 3n/4 keep
+    their own short tails."""
     import mpmath
 
     with mpmath.workdps(40):
         p = mpmath.mpf(p)
         q = 1 - p
         if p in (0, 1):
-            return p
-        up = k > n * p
-        j = k if up else k - 1
-        t = s = mpmath.binomial(n, j) * p ** j * q ** (n - j)
-        if up:
-            while j < n and t > s * 1e-25:
+            return dict.fromkeys(ks, p)
+        out = {}
+        end, beyond = n, 0  # the last term to sum, and the sum of those past it
+        for k in sorted((k for k in ks if k > n * p), reverse=True):
+            j = k
+            t = s = mpmath.binomial(n, j) * p ** j * q ** (n - j)
+            while j < end and t > s * 1e-25:
                 t *= (n - j) * p / ((j + 1) * q)
                 j += 1
                 s += t
-            return s
-        while j > 0 and t > s * 1e-25:
-            t *= j * q / ((n - j + 1) * p)
-            j -= 1
-            s += t
-        return 1 - s
+            out[k] = s = s + beyond if j == end else s
+            end, beyond = k - 1, s
+        end, beyond = 0, 0  # the same, downward from k - 1, for 1 - P(X < k)
+        for k in sorted(k for k in ks if k <= n * p):
+            j = k - 1
+            t = s = mpmath.binomial(n, j) * p ** j * q ** (n - j)
+            while j > end and t > s * 1e-25:
+                t *= j * q / ((n - j + 1) * p)
+                j -= 1
+                s += t
+            s = s + beyond if j == end else s
+            out[k] = 1 - s
+            end, beyond = k, s
+        return out
 
 
-def _grid_tails():
+@pytest.fixture(scope="module")
+def grid_tails():
+    """The grid's cells and their tails by `_tail` and one by one."""
     k, n, p = _tail_grid()
     vector = resources._tail(k, n, p)
     one_by_one = np.array([binomial_tail_geq(int(n_), float(p_), int(k_))
@@ -299,23 +314,30 @@ def _grid_tails():
     return k, n, p, vector, one_by_one
 
 
-def test_binomial_tail_matches_betainc_on_a_wide_grid():
+def test_binomial_tail_matches_betainc_on_a_wide_grid(grid_tails):
     # SciPy is a test oracle only; its own error reaches 1.3e-12 on this grid
     betainc = pytest.importorskip("scipy.special").betainc
-    k, n, p, vector, one_by_one = _grid_tails()
+    k, n, p, vector, one_by_one = grid_tails
     want = betainc(k, n - k + 1, p)
     assert np.abs(vector - want).max() < 2e-12
     assert np.abs(one_by_one - want).max() < 2e-12
 
 
 @pytest.mark.slow
-def test_binomial_tail_matches_40_digit_mpmath_on_a_wide_grid():
+def test_binomial_tail_matches_40_digit_mpmath_on_a_wide_grid(grid_tails):
     mpmath = pytest.importorskip("mpmath")
-    k, n, p, vector, one_by_one = _grid_tails()
+    k, n, p, vector, one_by_one = grid_tails
+    cells = list(zip(k.tolist(), n.tolist(), p.tolist()))
+    ks = {}
+    for k_, n_, p_ in cells:
+        ks.setdefault((n_, p_), []).append(k_)
+    tails = {(k_, n_, p_): tail for (n_, p_), group in ks.items()
+             for k_, tail in _tails_by_mpmath(n_, p_, group).items()}
+    assert len(tails) == len(cells)
     worst = 0
     with mpmath.workdps(40):
-        for k_, n_, p_, v, o in zip(k.tolist(), n.tolist(), p.tolist(), vector, one_by_one):
-            want = _tail_by_mpmath(k_, n_, p_)
+        for (k_, n_, p_), v, o in zip(cells, vector, one_by_one):
+            want = tails[k_, n_, p_]
             if n_ <= 1000:  # where mpmath's betainc converges, the sum is it
                 assert abs(want - mpmath.betainc(k_, n_ - k_ + 1, 0, p_,
                                                  regularized=True)) < 1e-25
@@ -673,9 +695,10 @@ def test_sweep_rejects_bad_cells():
 
 
 def test_sweep_rejects_empty_grids():
-    with pytest.raises(ValueError):
+    # the message starts with the name of the empty grid
+    with pytest.raises(ValueError, match="^distances must be non-empty$"):
         sweep_coupling([], [1e-3], [1e-3], DEV)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cycle_times_s must be non-empty$"):
         sweep_coupling([3], [], [1e-3], DEV)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p_c_grid must be non-empty$"):
         sweep_coupling([3], [1e-3], [], DEV)
