@@ -1,8 +1,8 @@
-"""The package's two number rules, `as_int` for every count, index and seed
-and `as_real` for every real parameter, its flag rule `as_flag`, and the one
-rule for the JSON objects its loaders read.  Each rule rejects a value with a
-ValueError whose message starts with the field's name, which the CLI maps to
-a flag."""
+"""The package's five field rules, `as_int` for every count, index and seed,
+`as_real` for every real parameter, `as_flag` for every flag, `as_choice` for
+every word field and `as_text` for every label, and the one rule for the JSON
+objects its loaders read.  Each rule rejects a value with a ValueError whose
+message starts with the field's name, which the CLI maps to a flag."""
 from __future__ import annotations
 
 import math
@@ -14,14 +14,16 @@ INTERVALS = {"[0,1]": "lie in [0,1]", "(0,1]": "lie in (0,1]",
              "(0,1)": "lie in (0,1)", "positive": "be positive and finite"}
 
 
-def as_int(name: str, v, lo: int | None = None) -> int:
-    """v as a plain int, at least `lo` if given: Python and NumPy integers
-    pass, bools and the rest raise ValueError naming `name`.  A plain int is
-    returned as it is."""
+def as_int(name: str, v, lo: int | None = None, hi: int | None = None) -> int:
+    """v as a plain int, at least `lo` if given, and in lo..hi if `hi` is:
+    Python and NumPy integers pass, bools and the rest raise ValueError naming
+    `name`.  A plain int is returned as it is."""
     if type(v) is not int:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         v = int(v)
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must be {lo}..{hi}, got {v}")
     if lo is not None and v < lo:
         bound = "be non-negative" if lo == 0 else f"be at least {lo}"
         raise ValueError(f"{name} must {bound}, got {v}")
@@ -61,6 +63,20 @@ def as_flag(name: str, v) -> bool:
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     raise ValueError(f"{name} must be True or False, got {v!r}")
+
+
+def as_choice(name: str, v, words) -> str:
+    """v as a plain str, one of `words`; anything else raises ValueError naming `name`."""
+    if isinstance(v, str) and v in words:
+        return str(v)
+    raise ValueError(f"{name} must be one of {', '.join(words)}, got {v!r}")
+
+
+def as_text(name: str, v) -> str:
+    """v as a plain str; anything else raises ValueError naming `name`."""
+    if isinstance(v, str):
+        return str(v)
+    raise ValueError(f"{name} must be a string, got {v!r}")
 
 
 def check_object(obj, what: str) -> None:

@@ -51,11 +51,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, lo in (("population_size", 2), ("generations", 1), ("n_pairs", None),
-                         ("seed", 0)):
-            object.__setattr__(self, name, as_int(name, getattr(self, name), lo))
-        if self.n_pairs not in (3, 4, 5):
-            raise ValueError("n_pairs must be 3, 4 or 5")
+        for name, lo, hi in (("population_size", 2, None), ("generations", 1, None),
+                             ("n_pairs", 3, 5), ("seed", 0, None)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), lo, hi))
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,9 @@ def _record_label(pair: int, side: str, n_pairs: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _gate_op(item: tuple):
     """The op of a gate record (kind, side, pair, pair-or-index)."""
-    if item[0] in ("cnot", "cz"):
-        return TwoQubitGate(*item)
-    return SingleQubitClifford(item[2], item[1], item[3])
+    if item[0] == "clifford":
+        return SingleQubitClifford(item[2], item[1], item[3])
+    return TwoQubitGate(*item)
 
 
 @functools.lru_cache(maxsize=None)

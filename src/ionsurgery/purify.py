@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_int, check_keys, check_object
+from ._checks import as_choice, as_int, as_text, check_keys, check_object
 from .quantum import (
+    BASES,
     CLIFFORD_INDEX,
+    CLIFFORD_UNITARIES,
     BellDiagonalState,
     DensityMatrix,
     NoiseModel,
@@ -28,13 +30,11 @@ from .quantum import (
     _partial_trace_raw,
     _permute_raw,
     _project_raw,  # noqa: F401  unused here, but perfbench/spans.py wraps it by this name
-    clifford_unitary,
     fidelity_to_bell,
     stephenson_pair,
 )
 
 SIDES = ("A", "B")
-BASES = ("X", "Y", "Z")
 RELATIONS = ("coincident", "anticoincident")
 MIN_PAIRS = 2
 MAX_PAIRS = 5
@@ -43,8 +43,29 @@ MAX_PAIRS = 5
 # ---------------------------------------------------------------------------
 # circuit description
 
+_WORDS = {"kind": ("cnot", "cz"), "side": SIDES, "basis": BASES, "relation": RELATIONS}
+
+
+class _Record:
+    """A circuit record: each field passes the rule its name takes when the
+    record is built, and pair and Clifford indices are stored as plain ints.
+    A circuit checks only how its records fit together."""
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if name in _WORDS:
+                v = as_choice(name, v, _WORDS[name])
+            elif name == "index":  # the range `clifford_unitary` takes
+                v = as_int(name, v, 0, 23)
+            elif name.endswith("pair"):
+                v = as_int(name, v, 0)
+            else:  # a record label
+                v = as_text(name, v)
+            object.__setattr__(self, name, v)
+
+
 @dataclass(frozen=True)
-class TwoQubitGate:
+class TwoQubitGate(_Record):
     kind: str  # "cnot" | "cz"
     side: str
     control_pair: int
@@ -52,7 +73,7 @@ class TwoQubitGate:
 
 
 @dataclass(frozen=True)
-class SingleQubitClifford:
+class SingleQubitClifford(_Record):
     kind = "clifford"  # a class constant, not a field
     pair: int
     side: str
@@ -60,7 +81,7 @@ class SingleQubitClifford:
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Record):
     kind = "measure"  # a class constant, not a field
     pair: int
     side: str
@@ -69,7 +90,7 @@ class Measure:
 
 
 @dataclass(frozen=True)
-class AcceptRule:
+class AcceptRule(_Record):
     label_i: str
     label_j: str
     relation: str  # "coincident" | "anticoincident"
@@ -83,9 +104,6 @@ _OPS = {
     "measure": (Measure, ("side", "pair", "basis", "record_label")),
 }
 _RULE_KEYS = ("label_i", "label_j", "relation")
-# the op fields `_checked_fields` type-checks; `_check` checks the rest by value
-_INT_KEYS = frozenset(("control_pair", "target_pair", "pair", "index"))
-_STR_KEYS = frozenset(("record_label", "label_i", "label_j"))
 
 
 @dataclass(frozen=True)
@@ -100,31 +118,25 @@ class PurificationCircuit:
     accept: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n_pairs", as_int("n_pairs", self.n_pairs))
-        object.__setattr__(self, "ops", _checked_fields(tuple(self.ops)))
-        object.__setattr__(self, "accept", _checked_fields(tuple(self.accept)))
+        object.__setattr__(self, "n_pairs",
+                           as_int("n_pairs", self.n_pairs, MIN_PAIRS, MAX_PAIRS))
+        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "accept", tuple(self.accept))
         self._check()
 
     def _check(self):
-        if not (MIN_PAIRS <= self.n_pairs <= MAX_PAIRS):
-            raise ValueError(f"n_pairs must be {MIN_PAIRS}..{MAX_PAIRS}")
+        """The rules that tie the records together."""
         measured = set()
         labels = set()
         for op in self.ops:
             reuse = "gate on an already-measured qubit"
             if isinstance(op, TwoQubitGate):
-                if op.kind not in ("cnot", "cz"):
-                    raise ValueError(f"unknown two-qubit gate {op.kind!r}")
                 if op.control_pair == op.target_pair:
                     raise ValueError("control and target pairs must differ")
                 pairs = (op.control_pair, op.target_pair)
             elif isinstance(op, SingleQubitClifford):
-                if not (0 <= op.index < 24):
-                    raise ValueError("clifford index must be 0..23")
                 pairs = (op.pair,)
             elif isinstance(op, Measure):
-                if op.basis not in BASES:
-                    raise ValueError("basis must be X, Y or Z")
                 if op.pair == 0:
                     raise ValueError("pair 0 is the output and is never measured")
                 if op.record_label in labels:
@@ -132,20 +144,17 @@ class PurificationCircuit:
                 labels.add(op.record_label)
                 pairs, reuse = (op.pair,), "qubit measured twice"
             else:
-                raise TypeError(f"unknown instruction {op!r}")
-            # the side is checked first: `measured` hashes it
-            if op.side not in SIDES:
-                raise ValueError("side must be A or B")
+                raise ValueError(f"ops must hold op records, got {op!r}")
             for p in pairs:
-                if not (0 <= p < self.n_pairs):
+                if p >= self.n_pairs:
                     raise ValueError("pair index out of range")
                 if (p, op.side) in measured:
                     raise ValueError(reuse)
             if isinstance(op, Measure):
                 measured.add((op.pair, op.side))
         for rule in self.accept:
-            if rule.relation not in RELATIONS:
-                raise ValueError("relation must be coincident or anticoincident")
+            if not isinstance(rule, AcceptRule):
+                raise ValueError(f"accept must hold AcceptRule records, got {rule!r}")
             for lab in (rule.label_i, rule.label_j):
                 if lab not in labels:
                     raise ValueError(f"accept references unknown label {lab!r}")
@@ -164,9 +173,7 @@ class PurificationCircuit:
         ops = []
         for o in _list_field(d, "ops"):
             check_object(o, "op")
-            kind = o.get("kind")
-            if not isinstance(kind, str) or kind not in _OPS:
-                raise ValueError(f"unknown op kind {kind!r}")
+            kind = as_choice("kind", o.get("kind"), _OPS)
             op_type, keys = _OPS[kind]
             check_keys(o, ("kind", *keys), f"{kind} op")
             fields = {k: o[k] for k in keys}
@@ -184,23 +191,6 @@ class PurificationCircuit:
     @classmethod
     def from_json(cls, text: str) -> "PurificationCircuit":
         return cls.from_dict(json.loads(text))
-
-
-def _checked_fields(objs: tuple) -> tuple:
-    """objs, with every pair index and Clifford index a plain int (`as_int`)
-    and every label checked to be a string.  An object, and the tuple, are
-    copied only when a field changes: a search builds many circuits, and
-    fresh tuples for each fragment its heap."""
-    for i, obj in enumerate(objs):
-        # an object without fields is no op; _check rejects it by type
-        for key, v in getattr(obj, "__dict__", {}).items():
-            if key in _INT_KEYS and type(v) is not int:
-                obj = replace(obj, **{key: as_int(key, v)})
-            elif key in _STR_KEYS and not isinstance(v, str):
-                raise ValueError(f"{key} must be a string, got {v!r}")
-        if obj is not objs[i]:
-            objs = (*objs[:i], obj, *objs[i + 1:])
-    return objs
 
 
 def _list_field(obj: dict, key: str, default=None) -> list:
@@ -257,8 +247,8 @@ def resolve_input(spec) -> DensityMatrix:
         return spec.to_density_matrix()
     if not isinstance(spec, DensityMatrix):
         if np.ndim(spec) != 2:
-            raise TypeError("input spec must be 'stephenson', a BellDiagonalState, "
-                            "a 2-qubit DensityMatrix or its 4x4 entries")
+            raise ValueError("input spec must be 'stephenson', a BellDiagonalState, "
+                             f"a 2-qubit DensityMatrix or its 4x4 entries, got {spec!r}")
         return DensityMatrix(2, spec)
     if spec.num_qubits != 2:
         raise ValueError("input state must be a 2-qubit state")
@@ -379,7 +369,7 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
             args, p = pos, noise.p2
         else:
             pos = [alive.index(off + op.pair)]
-            gate, args, p = _apply_unitary_raw, (clifford_unitary(op.index), *pos), noise.p1
+            gate, args, p = _apply_unitary_raw, (CLIFFORD_UNITARIES[op.index], *pos), noise.p1
         for s in branches:  # the gate and its noise run in place on each row
             if gate is _cz_raw:
                 gate(s, *args, m, out=s)

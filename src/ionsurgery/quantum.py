@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_flag, as_int, as_real
+from ._checks import as_choice, as_flag, as_int, as_real
 
 MAX_QUBITS = 10  # 2 * 5 pairs; joint states of the largest supported circuits
 
@@ -51,6 +51,7 @@ CNOT = np.array([[1, 0, 0, 0],
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+BASES = ("X", "Y", "Z")  # the measurement bases, one per Pauli
 
 BELL_KINDS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 _BELL_VECTORS = {
@@ -75,9 +76,8 @@ class DensityMatrix:
         arr = np.array(self.entries, dtype=complex, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "num_qubits", as_int("num_qubits", self.num_qubits))
-        if not (1 <= self.num_qubits <= MAX_QUBITS):
-            raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}")
+        object.__setattr__(self, "num_qubits",
+                           as_int("num_qubits", self.num_qubits, 1, MAX_QUBITS))
         dim = 2 ** self.num_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim} for {self.num_qubits} qubits")
@@ -307,8 +307,7 @@ def _measure_raw(rho: np.ndarray, basis: str, q: int, n: int) -> np.ndarray:
     `1j * t10` and `1j * t11` products once for both outcomes.  On a stack
     (*batch, 2^n, 2^n), each matrix is measured alone.
     """
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError("basis must be one of X, Y, Z")
+    as_choice("basis", basis, BASES)
     lo, hi = 2 ** q, 2 ** (n - 1 - q)
     d = lo * hi
     out = np.empty((2, *rho.shape[:-2], d, d), dtype=complex)
@@ -453,9 +452,7 @@ def clifford_unitary(index: int) -> np.ndarray:
     Indexing is lexicographic in the adjoint action (image of X, image of Z)
     with axis order X,Y,Z and sign order +,-.
     """
-    if not (0 <= as_int("index", index) < 24):
-        raise ValueError("Clifford index must be 0..23")
-    return CLIFFORD_UNITARIES[index]
+    return CLIFFORD_UNITARIES[as_int("index", index, 0, 23)]
 
 
 def clifford_index(u: np.ndarray) -> int:
@@ -492,9 +489,7 @@ CLIFFORD_CONJUGATE_PARTNER = tuple(
 
 def bell_state(kind: str) -> DensityMatrix:
     """Rank-1 projector onto the named Bell state."""
-    if kind not in _BELL_VECTORS:
-        raise ValueError(f"kind must be one of {BELL_KINDS}")
-    v = _BELL_VECTORS[kind]
+    v = _BELL_VECTORS[as_choice("kind", kind, BELL_KINDS)]
     return DensityMatrix(2, np.outer(v, v.conj()))
 
 
@@ -531,7 +526,5 @@ def fidelity_to_bell(state: DensityMatrix, kind: str = "phi_plus") -> float:
     """<bell| rho |bell> for a 2-qubit state."""
     if state.num_qubits != 2:
         raise ValueError("fidelity_to_bell needs a 2-qubit state")
-    if kind not in _BELL_VECTORS:
-        raise ValueError(f"kind must be one of {BELL_KINDS}")
-    v = _BELL_VECTORS[kind]
+    v = _BELL_VECTORS[as_choice("kind", kind, BELL_KINDS)]
     return float((v.conj() @ state.entries @ v).real)

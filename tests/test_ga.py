@@ -67,7 +67,7 @@ def test_resolve_input_variants():
         isg.resolve_input("werner")
     with pytest.raises(ValueError):
         isg.resolve_input(isg.DensityMatrix(4, np.kron(dm.entries, dm.entries)))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^input spec must be "):
         isg.resolve_input(0.94)
 
 

@@ -99,18 +99,21 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used - exempt) == []
 
 
-# the wording of the two number rules and the flag rule in `ionsurgery._checks`
+# the wording of the five field rules in `ionsurgery._checks`: the number rules
+# `as_int` and `as_real`, the flag rule `as_flag`, the word rule `as_choice` and
+# the text rule `as_text`
 NUMBER_RULE_WORDS = ("must be an integer", "must be a number", "must be non-negative",
                      "must be at least", "must lie in [", "must lie in (",
-                     "must be positive", "must be True or False")
+                     "must be positive", "must be True or False", "must be one of",
+                     "must be a string")
 
 
 @pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_number_rules_live_in_checks_alone(path):
-    # every count, real parameter and flag is checked by `_checks.as_int`,
-    # `_checks.as_real` or `_checks.as_flag`; a module that words such a check
-    # itself has a copy
+    # every count, real parameter, flag, word field and text label is checked
+    # by `_checks.as_int`, `as_real`, `as_flag`, `as_choice` or `as_text`; a
+    # module that words such a check itself has a copy
     if path.name == "_checks.py":
         return
     copies = []

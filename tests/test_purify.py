@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -87,34 +88,82 @@ def test_accept_rules_must_reference_real_labels():
 
 
 def test_gate_and_measure_field_validation():
-    # ops are plain records; the circuit constructor is the validator
+    # each op is built inside its own raises block: a bad field raises as the
+    # op is built, a bad fit as the circuit is
     bad_ops = [
-        TwoQubitGate(kind="swap", side="A", control_pair=0, target_pair=1),
-        TwoQubitGate(kind="cnot", side="C", control_pair=0, target_pair=1),
-        TwoQubitGate(kind="cnot", side="A", control_pair=1, target_pair=1),
-        TwoQubitGate(kind="cnot", side="A", control_pair=0, target_pair=2),
-        SingleQubitClifford(pair=0, side="A", index=24),
-        SingleQubitClifford(pair=0, side="A", index=-1),
-        Measure(pair=1, side="A", basis="W", record_label="c1"),
+        lambda: TwoQubitGate(kind="swap", side="A", control_pair=0, target_pair=1),
+        lambda: TwoQubitGate(kind="cnot", side="C", control_pair=0, target_pair=1),
+        lambda: TwoQubitGate(kind="cnot", side="A", control_pair=1, target_pair=1),
+        lambda: TwoQubitGate(kind="cnot", side="A", control_pair=0, target_pair=2),
+        lambda: SingleQubitClifford(pair=0, side="A", index=24),
+        lambda: SingleQubitClifford(pair=0, side="A", index=-1),
+        lambda: Measure(pair=1, side="A", basis="W", record_label="c1"),
         # pair indices and Clifford indices are ints, not floats or bools;
         # record labels are strings
-        TwoQubitGate(kind="cnot", side="A", control_pair=True, target_pair=0),
-        TwoQubitGate(kind="cz", side="B", control_pair=0, target_pair=1.0),
-        SingleQubitClifford(pair=0, side="A", index=1.5),
-        SingleQubitClifford(pair=0, side="A", index=True),
-        SingleQubitClifford(pair="0", side="A", index=3),
-        Measure(pair=1.0, side="A", basis="Z", record_label="c1"),
-        Measure(pair=1, side="A", basis="Z", record_label=1),
-        Measure(pair=1, side="A", basis="Z", record_label=["c1"]),
+        lambda: TwoQubitGate(kind="cnot", side="A", control_pair=True, target_pair=0),
+        lambda: TwoQubitGate(kind="cz", side="B", control_pair=0, target_pair=1.0),
+        lambda: SingleQubitClifford(pair=0, side="A", index=1.5),
+        lambda: SingleQubitClifford(pair=0, side="A", index=True),
+        lambda: SingleQubitClifford(pair="0", side="A", index=3),
+        lambda: Measure(pair=1.0, side="A", basis="Z", record_label="c1"),
+        lambda: Measure(pair=1, side="A", basis="Z", record_label=1),
+        lambda: Measure(pair=1, side="A", basis="Z", record_label=["c1"]),
     ]
-    for op in bad_ops:
+    for make_op in bad_ops:
         with pytest.raises(ValueError):
-            two_pair_circuit([op], [])
+            two_pair_circuit([make_op()], [])
     measured = [Measure(pair=1, side="A", basis="Z", record_label="c1"),
                 Measure(pair=1, side="B", basis="Z", record_label="c2")]
     for bad in (None, 1, ["c1"]):
         with pytest.raises(ValueError, match="label_i must be a string"):
             two_pair_circuit(measured, [AcceptRule(bad, "c2", "coincident")])
+
+
+def _from_dict_with_kind(kind):
+    raw = json.loads(isg.bbpssw_circuit().to_json())
+    raw["ops"][0]["kind"] = kind
+    return PurificationCircuit.from_dict(raw)
+
+
+# every word field: (its name, a valid word, a call that reads the field)
+WORD_FIELDS = {
+    "TwoQubitGate.kind": ("kind", "cnot", lambda v: TwoQubitGate(v, "A", 0, 1)),
+    "TwoQubitGate.side": ("side", "A", lambda v: TwoQubitGate("cnot", v, 0, 1)),
+    "SingleQubitClifford.side": ("side", "A", lambda v: SingleQubitClifford(0, v, 3)),
+    "Measure.side": ("side", "A", lambda v: Measure(1, v, "Z", "c1")),
+    "Measure.basis": ("basis", "Z", lambda v: Measure(1, "A", v, "c1")),
+    "AcceptRule.relation": ("relation", "coincident", lambda v: AcceptRule("c1", "c2", v)),
+    "bell_state": ("kind", "phi_plus", isg.bell_state),
+    "fidelity_to_bell": ("kind", "phi_plus",
+                         lambda v: isg.fidelity_to_bell(isg.stephenson_pair(), v)),
+    "from_dict": ("kind", "cnot", _from_dict_with_kind),
+}
+
+
+@pytest.mark.parametrize("wrap", [lambda w: "W", lambda w: [w]], ids=["word", "list"])
+@pytest.mark.parametrize("where", WORD_FIELDS)
+def test_every_word_field_takes_one_rule(where, wrap):
+    # a wrong word, or the right word in a list, raises as the record is built,
+    # with one message that starts with the field's name
+    name, word, read = WORD_FIELDS[where]
+    read(word)
+    bad = wrap(word)
+    with pytest.raises(ValueError, match=rf"^{name} must be one of .*{word}.*, "
+                                         rf"got {re.escape(repr(bad))}$"):
+        read(bad)
+
+
+MEASURED = (Measure(1, "A", "Z", "c1"), Measure(1, "B", "Z", "c2"))
+
+
+@pytest.mark.parametrize("field, ops, accept", [
+    ("accept", MEASURED, ("x",)),
+    ("accept", MEASURED, (Measure(1, "A", "Z", "c1"),)),
+    ("ops", ("cnot", *MEASURED), ()),
+], ids=["text-in-accept", "measure-in-accept", "text-in-ops"])
+def test_a_circuit_holds_only_records(field, ops, accept):
+    with pytest.raises(ValueError, match=f"^{field} must hold "):
+        PurificationCircuit(2, ops, accept)
 
 
 def test_numpy_integer_fields_are_stored_as_ints():
@@ -346,7 +395,7 @@ def test_simulate_takes_the_input_specs_search_takes():
         assert fingerprint(isg.simulate(circ, spec, isg.DEVICE_NOISE)) == want
     with pytest.raises(ValueError, match="input spec 'werner' is unknown"):
         isg.simulate(circ, "werner", isg.DEVICE_NOISE)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^input spec must be "):
         isg.simulate(circ, [0.94] * 3, isg.DEVICE_NOISE)
 
 
