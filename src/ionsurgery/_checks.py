@@ -1,8 +1,9 @@
-"""The package's five field rules, `as_int` for every count, index and seed,
+"""The package's six field rules, `as_int` for every count, index and seed,
 `as_real` for every real parameter, `as_flag` for every flag, `as_choice` for
-every word field and `as_text` for every label, and the one rule for the JSON
-objects its loaders read.  Each rule rejects a value with a ValueError whose
-message starts with the field's name, which the CLI maps to a flag."""
+every word field, `as_text` for every label and `as_record` for every record
+argument, and the rules for the JSON objects and lists its loaders read.
+Each rule rejects a value with a ValueError whose message starts with the
+field's name, which the CLI maps to a flag."""
 from __future__ import annotations
 
 import math
@@ -77,6 +78,21 @@ def as_text(name: str, v) -> str:
     if isinstance(v, str):
         return str(v)
     raise ValueError(f"{name} must be a string, got {v!r}")
+
+
+def as_record(name: str, v, cls):
+    """v itself if it is a `cls`; anything else raises ValueError naming `name`."""
+    if isinstance(v, cls):
+        return v
+    raise ValueError(f"{name} must be a {cls.__name__}, got {v!r}")
+
+
+def as_list(name: str, v) -> list:
+    """v itself if it is a list, as a JSON array loads; anything else raises
+    ValueError naming `name`."""
+    if isinstance(v, list):
+        return v
+    raise ValueError(f"{name} must be a list, got {v!r}")
 
 
 def check_object(obj, what: str) -> None:

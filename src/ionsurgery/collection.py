@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_int, as_real
+from ._checks import as_int, as_real, as_record
 
 CHUNK = 16384      # trials per split Philox stream
 BLOCK_DRAWS = 2 ** 16  # draws per block of whole trials (512 KiB of float64)
@@ -177,6 +177,7 @@ def _rounds(draws: np.ndarray, scale: float) -> np.ndarray:
 
 def simulate_collection(config: TrialConfig) -> CollectionResult:
     """Per-trial entangled counts after `attempts` retire-on-success rounds."""
+    as_record("config", config, TrialConfig)
     counts = np.zeros(config.trials, dtype=np.int64)
     if config.p_entangle > 0 and config.attempts > 0:
         cutoff = _draw_cutoff(config.attempts, _draw_scale(config.p_entangle))
@@ -298,6 +299,7 @@ def empirical_attempts_bracket(n_ions: int, p_entangle: float, k_star: int,
 
 def collection_report(config: TrialConfig, ks) -> dict:
     """JSON-ready summary: mean count and empirical tails at the requested ks."""
+    as_record("config", config, TrialConfig)
     ks = [as_int("k", k) for k in ks]
     result = simulate_collection(config)
     return {

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import as_flag, as_int
+from ._checks import as_flag, as_int, as_record
 from .purify import (
     BASES,
     RELATIONS,
@@ -213,6 +213,8 @@ def search(config: GaConfig, input_spec, noise: NoiseModel,
     pool that downstream benchmarking draws from.  Ties keep population
     order, or first-evaluation order in the archive.
     """
+    as_record("config", config, GaConfig)
+    as_record("noise", noise, NoiseModel)
     archive = as_flag("archive", archive)
     rho = resolve_input(input_spec)
     rng = np.random.default_rng(config.seed)
@@ -264,9 +266,10 @@ def benchmark_sweep(candidates, noise: NoiseModel) -> list:
     Returns one BenchmarkRow per candidate, in input order; this is the
     scatter data the candidate-pool quality plots are built from.
     """
-    candidates = list(candidates)
+    as_record("noise", noise, NoiseModel)
+    candidates = [as_record("candidates", c, PurificationCircuit) for c in candidates]
     if not candidates:
-        raise ValueError("candidate list must be non-empty")
+        raise ValueError("candidates must be non-empty")
     rho = stephenson_pair(rotated=True)
     rows = []
     for circ in candidates:

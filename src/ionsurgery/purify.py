@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_choice, as_int, as_text, check_keys, check_object
+from ._checks import as_choice, as_int, as_list, as_record, as_text, check_keys, check_object
 from .quantum import (
     BASES,
     CLIFFORD_INDEX,
@@ -171,7 +171,7 @@ class PurificationCircuit:
     def from_dict(cls, d: dict) -> "PurificationCircuit":
         check_keys(d, ("n_pairs", "ops", "accept"), "circuit", optional={"accept"})
         ops = []
-        for o in _list_field(d, "ops"):
+        for o in as_list("ops", d.get("ops")):
             check_object(o, "op")
             kind = as_choice("kind", o.get("kind"), _OPS)
             op_type, keys = _OPS[kind]
@@ -180,7 +180,7 @@ class PurificationCircuit:
             ops.append(op_type(kind, **fields) if op_type is TwoQubitGate
                        else op_type(**fields))
         accept = []
-        for a in _list_field(d, "accept", []):
+        for a in as_list("accept", d.get("accept", [])):
             check_keys(a, _RULE_KEYS, "accept rule")
             accept.append(AcceptRule(**{k: a[k] for k in _RULE_KEYS}))
         return cls(d["n_pairs"], tuple(ops), tuple(accept))
@@ -193,19 +193,13 @@ class PurificationCircuit:
         return cls.from_dict(json.loads(text))
 
 
-def _list_field(obj: dict, key: str, default=None) -> list:
-    v = obj.get(key, default)
-    if not isinstance(v, list):
-        raise ValueError(f"{key} must be a list, got {v!r}")
-    return v
-
-
 def load_circuit(path) -> PurificationCircuit:
     with open(path) as fh:
         return PurificationCircuit.from_dict(json.load(fh))
 
 
 def save_circuit(circuit: PurificationCircuit, path) -> None:
+    as_record("circuit", circuit, PurificationCircuit)  # before the file is opened
     with open(path, "w") as fh:
         fh.write(circuit.to_json())
         fh.write("\n")
@@ -246,10 +240,11 @@ def resolve_input(spec) -> DensityMatrix:
     if isinstance(spec, BellDiagonalState):
         return spec.to_density_matrix()
     if not isinstance(spec, DensityMatrix):
-        if np.ndim(spec) != 2:
-            raise ValueError("input spec must be 'stephenson', a BellDiagonalState, "
-                             f"a 2-qubit DensityMatrix or its 4x4 entries, got {spec!r}")
-        return DensityMatrix(2, spec)
+        try:
+            return DensityMatrix(2, spec)
+        except ValueError:
+            raise ValueError("input spec must be 'stephenson', a BellDiagonalState, a "
+                             f"2-qubit DensityMatrix or its 4x4 entries, got {spec!r}") from None
     if spec.num_qubits != 2:
         raise ValueError("input state must be a 2-qubit state")
     return spec
@@ -262,7 +257,7 @@ def _pair_inputs(inputs, n_pairs: int) -> list:
         return [resolve_input(inputs).entries] * n_pairs
     seq = list(inputs)
     if len(seq) != n_pairs:
-        raise ValueError(f"need {n_pairs} input states, got {len(seq)}")
+        raise ValueError(f"inputs must hold {n_pairs} input specs, got {len(seq)}")
     return [resolve_input(s).entries for s in seq]
 
 
@@ -323,6 +318,8 @@ def simulate(circuit: PurificationCircuit, inputs, noise: NoiseModel) -> Protoco
     Returns the accept-conditioned pair-0 marginal next to its fidelity and
     the total success probability.
     """
+    as_record("circuit", circuit, PurificationCircuit)
+    as_record("noise", noise, NoiseModel)
     n_pairs = circuit.n_pairs
     n = 2 * n_pairs
     mats = _pair_inputs(inputs, n_pairs)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_choice, as_flag, as_int, as_real
+from ._checks import as_choice, as_flag, as_int, as_real, as_record
 
 MAX_QUBITS = 10  # 2 * 5 pairs; joint states of the largest supported circuits
 
@@ -73,14 +73,17 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "num_qubits",
                            as_int("num_qubits", self.num_qubits, 1, MAX_QUBITS))
         dim = 2 ** self.num_qubits
-        if arr.shape != (dim, dim):
+        try:  # text, None and ragged rows fail as a wrong shape does
+            arr = np.array(self.entries, dtype=complex, order="C")
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim} for {self.num_qubits} qubits")
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
 
     def validate(self) -> "DensityMatrix":
         """Check finiteness, Hermiticity, unit trace and positivity."""
@@ -457,7 +460,11 @@ def clifford_unitary(index: int) -> np.ndarray:
 
 def clifford_index(u: np.ndarray) -> int:
     """Index of a single-qubit Clifford unitary, ignoring global phase."""
-    index = _CLIFFORD_INDEX_BY_KEY.get(_action_key(np.asarray(u, dtype=complex)))
+    try:  # text, a wrong shape and a non-Clifford all miss the table
+        u = np.asarray(u, dtype=complex)
+        index = _CLIFFORD_INDEX_BY_KEY.get(_action_key(u)) if u.shape == (2, 2) else None
+    except (TypeError, ValueError):
+        index = None
     if index is None:
         raise ValueError("unitary not in the Clifford table")
     return index
@@ -524,7 +531,7 @@ def stephenson_pair(rotated: bool = True) -> DensityMatrix:
 
 def fidelity_to_bell(state: DensityMatrix, kind: str = "phi_plus") -> float:
     """<bell| rho |bell> for a 2-qubit state."""
-    if state.num_qubits != 2:
+    if as_record("state", state, DensityMatrix).num_qubits != 2:
         raise ValueError("fidelity_to_bell needs a 2-qubit state")
     v = _BELL_VECTORS[as_choice("kind", kind, BELL_KINDS)]
     return float((v.conj() @ state.entries @ v).real)

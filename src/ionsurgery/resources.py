@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_flag, as_int, as_real, check_keys
+from ._checks import as_flag, as_int, as_real, as_record, check_keys
 
 
 @dataclass(frozen=True)
@@ -417,6 +417,8 @@ def _ions_needed(k_star: np.ndarray, p1: np.ndarray, target: float) -> np.ndarra
 
 def min_ions(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     """Fewest communication ions that fill the pair demand within one cycle."""
+    as_record("query", query, SurgeryQuery)
+    as_record("device", device, DeviceParams)
     if query.cycle_time_s is None:
         raise ValueError("min_ions needs a cycle_time_s query")
     k, n_ls, k_star = _demand(query.distance, device, query.paper_compat)
@@ -460,6 +462,8 @@ def max_rate(query: SurgeryQuery, device: DeviceParams) -> EstimateResult:
     A_min is the fewest per-ion attempts that fill the pair demand; the query
     is infeasible when the ion budget is below k*.
     """
+    as_record("query", query, SurgeryQuery)
+    as_record("device", device, DeviceParams)
     if query.n_ions is None:
         raise ValueError("max_rate needs an n_ions query")
     k, n_ls, k_star = _demand(query.distance, device, query.paper_compat)
@@ -481,6 +485,7 @@ def sweep_coupling(distances, cycle_times_s, p_c_grid, device: DeviceParams,
     row; each row equals the min_ions answer for its cell, and the rows are
     built as they are read.
     """
+    as_record("device", device, DeviceParams)
     grids = {"distances": list(distances), "cycle_times_s": list(cycle_times_s),
              "p_c_grid": list(p_c_grid)}
     for name, grid in grids.items():
@@ -535,6 +540,7 @@ def device_from_dict(raw: dict) -> DeviceParams:
 
 
 def device_to_dict(device: DeviceParams) -> dict:
+    as_record("device", device, DeviceParams)
     return {key: getattr(device, field) for key, field in _DEVICE_KEYS.items()}
 
 

@@ -1,13 +1,18 @@
 """Package surface: the public name list and the cost of importing it."""
 
 import ast
-import functools
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
+import typing
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -99,21 +104,25 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used - exempt) == []
 
 
-# the wording of the five field rules in `ionsurgery._checks`: the number rules
-# `as_int` and `as_real`, the flag rule `as_flag`, the word rule `as_choice` and
-# the text rule `as_text`
+# the wording of the field rules in `ionsurgery._checks`: the number rules
+# `as_int` and `as_real`, the flag rule `as_flag`, the word rule `as_choice`,
+# the text rule `as_text`, the record rule `as_record` as it names each record
+# class, and the JSON list rule `as_list`
 NUMBER_RULE_WORDS = ("must be an integer", "must be a number", "must be non-negative",
                      "must be at least", "must lie in [", "must lie in (",
                      "must be positive", "must be True or False", "must be one of",
-                     "must be a string")
+                     "must be a string", "must be a list",
+                     *(f"must be a {name}" for name in isg.__all__
+                       if isinstance(getattr(isg, name), type)))
 
 
 @pytest.mark.parametrize("path", sorted(Path(isg.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_number_rules_live_in_checks_alone(path):
-    # every count, real parameter, flag, word field and text label is checked
-    # by `_checks.as_int`, `as_real`, `as_flag`, `as_choice` or `as_text`; a
-    # module that words such a check itself has a copy
+    # every count, real parameter, flag, word field, text label, record
+    # argument and JSON list is checked by `_checks.as_int`, `as_real`,
+    # `as_flag`, `as_choice`, `as_text`, `as_record` or `as_list`; a module
+    # that words such a check itself has a copy
     if path.name == "_checks.py":
         return
     copies = []
@@ -138,139 +147,277 @@ def test_no_module_imports_scipy(path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
-# (constructor, a valid value of each count, each count's lower bound); a
-# count without one is checked against a range or a set instead
-COUNTS = {
-    "device": (isg.DeviceParams, dict(pairs_per_circuit=3), dict(pairs_per_circuit=2)),
-    "query": (isg.SurgeryQuery, dict(distance=3, n_ions=100), dict(distance=1, n_ions=1)),
-    "ga": (isg.GaConfig, dict(population_size=4, generations=2, n_pairs=3, seed=5),
-           dict(population_size=2, generations=1, seed=0)),
-    "trials": (functools.partial(isg.TrialConfig, p_entangle=0.5),
-               dict(n_ions=5, attempts=1, trials=10, seed=0),
-               dict(n_ions=1, attempts=0, trials=1, seed=0)),
-    "circuit": (functools.partial(isg.PurificationCircuit, ops=(), accept=()),
-                dict(n_pairs=2), {}),
+# ---------------------------------------------------------------------------
+# every public parameter takes one rule, found from its signature
+
+# the bad values of the rule each annotation names: `as_int`, `as_real`,
+# `as_flag`, and `as_choice` or `as_text`; a package record class takes
+# `as_record`'s
+BAD = {
+    int: (True, 1.5, "3", None),
+    float: (True, "0.5", None, math.nan, math.inf, -math.inf, 10 ** 400),
+    bool: ("false", "no", 0, 1, 1.0, None),
+    str: (None, 3, ["A"]),
 }
-# the same for the functions that take a count
-COUNT_ARGS = {
-    "pairs_required": (isg.pairs_required, dict(distance=3, pairs_per_circuit=3,
-                                                k_multiplex=5),
-                       dict(distance=1, pairs_per_circuit=1, k_multiplex=1)),
-    "p_onepair": (functools.partial(isg.p_onepair, 0.5), dict(attempts=3), dict(attempts=0)),
-    "binomial_tail_geq": (functools.partial(isg.binomial_tail_geq, p=0.5, k=0), dict(n=3),
-                          dict(n=0)),
-    "attempts_required": (functools.partial(isg.attempts_required, p_entangle=0.5,
-                                            k_star=0, p_ls=0.9),
-                          dict(n_ions=10), dict(n_ions=0)),
-    "wilson_interval": (isg.wilson_interval, dict(successes=0, trials=10), dict(trials=1)),
-    "empirical_min_attempts": (functools.partial(isg.empirical_min_attempts, 10, 1.0,
-                                                 p_ls=0.9, trials=20, seed=0),
-                               dict(k_star=5), dict(k_star=1)),
+BAD_RECORD = (None, "x", {})
+
+
+def _rule(annotation) -> tuple:
+    """(the type whose rule an annotation names, that rule's bad values), or
+    (None, ()) where it names none.  An optional field takes its type's
+    rule, and None leaves it unset."""
+    args = typing.get_args(annotation)
+    if len(args) == 2 and type(None) in args:
+        kind, bad = _rule(args[0])
+        return kind, tuple(v for v in bad if v is not None)
+    if annotation in BAD:
+        return annotation, BAD[annotation]
+    if isinstance(annotation, type) and annotation.__module__.startswith("ionsurgery."):
+        return annotation, BAD_RECORD
+    return None, ()
+
+
+def _public_parameters() -> list:
+    """(callable, parameter, annotation) for every parameter of every public
+    callable, in `__all__` order."""
+    out = []
+    for name in isg.__all__:
+        obj = getattr(isg, name)
+        if callable(obj):
+            hints = typing.get_type_hints(obj)
+            out += [(name, param, hints.get(param)) for param in inspect.signature(obj).parameters]
+    return out
+
+
+PARAMETERS = _public_parameters()
+
+# the parameters that take no rule, each with the reason
+EXEMPT = {
+    **{(name, field.name): "a result field: the package fills it from checked inputs"
+       for name in ("EstimateResult", "BenchmarkRow", "ProtocolOutcome", "RankedCircuit",
+                    "CollectionResult")
+       for field in dataclasses.fields(getattr(isg, name))},
+    **{(name, "path"): "a file path: opening it names the file it cannot open"
+       for name in ("load_circuit", "load_device", "save_circuit")},
 }
 
-
-@pytest.mark.parametrize("make, counts", [v[:2] for v in COUNTS.values()], ids=list(COUNTS))
-def test_numpy_integer_counts_are_stored_as_plain_ints(make, counts):
-    # one integer rule: NumPy integers pass wherever a count does, as int
-    for i in (np.int64, np.int32, np.uint8):
-        obj = make(**{f: i(v) for f, v in counts.items()})
-        assert obj == make(**counts)
-        assert [type(getattr(obj, f)) for f in counts] == [int] * len(counts)
-
-
-@pytest.mark.parametrize("make, counts, lows", [*COUNTS.values(), *COUNT_ARGS.values()],
-                         ids=[*COUNTS, *COUNT_ARGS])
-def test_every_count_has_its_lower_bound(make, counts, lows):
-    # one message per bound: "non-negative" for 0, "at least lo" above it
-    for field, lo in lows.items():
-        make(**{**counts, field: lo})
-        words = "non-negative" if lo == 0 else f"at least {lo}"
-        with pytest.raises(ValueError, match=f"^{field} must be {words}, got {lo - 1}$"):
-            make(**{**counts, field: lo - 1})
-
-
-# (call of the value, the name its messages start with, a valid value, a value
-# outside the interval, the attribute that stores the value or None)
-REALS = {
-    "R": (lambda v: isg.device_from_dict({"R": v}), "R", 2e6, 0.0, "pulse_rate_hz"),
-    **{name: (lambda v, name=name: isg.DeviceParams(**{name: v}), name, good, outside, name)
-       for name, good, outside in (("pulse_rate_hz", 2e6, -1.0), ("p_entangle", 1.0, 0.0),
-                                   ("p_purify", 1.0, 1.5), ("p_pair_confidence", 0.5, 1.0),
-                                   ("p_ls_confidence", 1.0, 0.0), ("f_ideal", 1.0, -0.5))},
-    "cycle_time_s": (lambda v: isg.SurgeryQuery(distance=3, cycle_time_s=v), "cycle_time_s",
-                     2.0, 0.0, "cycle_time_s"),
-    "multiplexing_k.p_purify": (lambda v: isg.multiplexing_k(v, 0.999), "p_purify",
-                                1.0, 1.5, None),
-    "multiplexing_k.p_pair_confidence": (lambda v: isg.multiplexing_k(0.819, v),
-                                         "p_pair_confidence", 0.5, 1.0, None),
-    "p_onepair": (lambda v: isg.p_onepair(v, 3), "p_entangle", 1.0, -0.1, None),
-    "binomial_tail_geq": (lambda v: isg.binomial_tail_geq(10, v, 3), "p", 1.0, 1.3, None),
-    "attempts_required.p_entangle": (lambda v: isg.attempts_required(10, v, 5, 0.9),
-                                     "p_entangle", 1.0, 0.0, None),
-    "attempts_required.p_ls": (lambda v: isg.attempts_required(10, 0.5, 5, v), "p_ls",
-                               1.0, 0.0, None),
-    "sweep_coupling": (lambda v: list(isg.sweep_coupling([3], [1e-3], [v], DEVICE)),
-                       "p_c_grid value", 1.0, 0.0, None),
-    "TrialConfig": (lambda v: isg.TrialConfig(10, v, 1, 1, 1), "p_entangle", 1.0, 1.5,
-                    "p_entangle"),
-    "wilson_interval": (lambda v: isg.wilson_interval(5, 10, v), "z", 2.0, 0.0, None),
-    "empirical_min_attempts.p_entangle": (
-        lambda v: isg.empirical_min_attempts(10, v, 5, 0.9, 20, 0), "p_entangle",
-        1.0, 0.0, None),
-    "empirical_attempts_bracket.p_ls": (
-        lambda v: isg.empirical_attempts_bracket(10, 1.0, 5, v, 20, 0), "p_ls",
-        1.0, 1.5, None),
-    **{name: (lambda v, name=name: isg.NoiseModel(**{name: v}), name, 1.0, 1.5, name)
-       for name in ("p1", "p2", "p_meas")},
-    # px holds the whole remainder unless another weight is the one set
-    **{name: (lambda v, name=name: isg.BellDiagonalState(
-        **{"f": 0.9, "px": 1.0 if name == "f" else 0.0, "pz": 0.0, "py": 0.0, name: v}),
-        name, 1.0, -0.5, name) for name in ("f", "px", "pz", "py")},
-}
+CIRCUIT = isg.bbpssw_circuit()
 DEVICE = isg.DeviceParams()
-
-
-@pytest.mark.parametrize("call, field, good, outside, attr", REALS.values(), ids=list(REALS))
-def test_every_real_parameter_takes_one_rule(call, field, good, outside, attr):
-    # bools, text, None, NaN, the infinities, ints past float range and values
-    # outside the interval raise ValueError naming the field; NumPy floats and
-    # ints pass, and are stored as plain floats.  A None cycle_time_s is unset,
-    # which SurgeryQuery's check of the two fields rejects.
-    unset = (None,) if field != "cycle_time_s" else ()
-    for bad in (True, "0.5", *unset, math.nan, math.inf, -math.inf, 10 ** 400, outside):
-        with pytest.raises(ValueError, match=f"^{field} must "):
-            call(bad)
-    want = call(good)
-    for v in (np.float64(good), np.float32(good), *([int(good)] if good % 1 == 0 else [])):
-        got = call(v)
-        assert got == want
-        if attr is not None:
-            assert type(getattr(got, attr)) is float
-
-
-# (call of a flag's value, the name its message starts with)
-FLAGS = {
-    "SurgeryQuery.paper_compat": (lambda v: isg.min_ions(isg.SurgeryQuery(
-        distance=3, cycle_time_s=1e-3, paper_compat=v), DEVICE).answer, "paper_compat"),
-    "sweep_coupling.paper_compat": (lambda v: list(isg.sweep_coupling(
-        [3], [1e-3], [1.0], DEVICE, paper_compat=v)), "paper_compat"),
-    "search.archive": (lambda v: [r.fitness for r in isg.search(
-        isg.GaConfig(population_size=4, generations=1, seed=0), "werner:0.9",
-        isg.DEVICE_NOISE, archive=v)], "archive"),
-    "stephenson_pair.rotated": (lambda v: isg.stephenson_pair(rotated=v).entries.tolist(),
-                                "rotated"),
+TRIALS = isg.TrialConfig(n_ions=5, p_entangle=0.5, attempts=3, trials=10, seed=0)
+# a valid call of each public callable, by keyword, or of one parameter where
+# that one needs the others to differ; a parameter left out takes its default.
+# Most counts sit at their lower bound and most reals at a closed end of
+# their interval, so the walk tries those values as good ones too.
+VALID = {
+    "AcceptRule": dict(label_i="c1", label_j="c2", relation="coincident"),
+    "BellDiagonalState": dict(f=1.0, px=1.0, pz=0.0, py=0.0),
+    "DensityMatrix": dict(num_qubits=2, entries=np.eye(4) / 4),
+    "DeviceParams": dict(pulse_rate_hz=2e6, p_entangle=1.0, p_purify=1.0, pairs_per_circuit=2,
+                         p_pair_confidence=0.5, p_ls_confidence=1.0, f_ideal=1.0),
+    "GaConfig": dict(population_size=2, generations=1, n_pairs=3, seed=0),
+    "Measure": dict(pair=1, side="A", basis="Z", record_label="c1"),
+    "NoiseModel": dict(p1=1.0, p2=1.0, p_meas=1.0),
+    "PurificationCircuit": dict(n_pairs=2, ops=(), accept=()),
+    "SingleQubitClifford": dict(pair=0, side="A", index=0),
+    "SurgeryQuery": dict(distance=1, cycle_time_s=2.0),
+    ("SurgeryQuery", "n_ions"): dict(distance=1, n_ions=1),
+    "TrialConfig": dict(n_ions=1, p_entangle=1.0, attempts=0, trials=1, seed=0),
+    "TwoQubitGate": dict(kind="cnot", side="A", control_pair=0, target_pair=1),
+    "attempts_required": dict(n_ions=0, p_entangle=1.0, k_star=0, p_ls=1.0),
+    "bell_state": dict(kind="phi_plus"),
+    "benchmark_sweep": dict(candidates=[CIRCUIT], noise=isg.IDEAL_NOISE),
+    "binomial_tail_geq": dict(n=0, p=1.0, k=0),
+    "clifford_index": dict(u=np.eye(2)),
+    "clifford_unitary": dict(index=0),
+    "collection_report": dict(config=TRIALS, ks=[1]),
+    "device_from_dict": dict(raw={"R": 2e6}),
+    "device_to_dict": dict(device=DEVICE),
+    "empirical_attempts_bracket": dict(n_ions=10, p_entangle=1.0, k_star=5, p_ls=1.0,
+                                       trials=20, seed=0),
+    "empirical_min_attempts": dict(n_ions=10, p_entangle=1.0, k_star=1, p_ls=0.9,
+                                   trials=20, seed=0),
+    "fidelity_to_bell": dict(state=isg.bell_state("phi_plus")),
+    "fitness": dict(circuit=CIRCUIT, inputs="werner:0.9", noise=isg.IDEAL_NOISE),
+    "max_rate": dict(query=isg.SurgeryQuery(distance=3, n_ions=100), device=DEVICE),
+    "min_ions": dict(query=isg.SurgeryQuery(distance=3, cycle_time_s=1e-3), device=DEVICE),
+    "multiplexing_k": dict(p_purify=1.0, p_pair_confidence=0.5),
+    "p_onepair": dict(p_entangle=1.0, attempts=0),
+    "pairs_required": dict(distance=1, pairs_per_circuit=1, k_multiplex=1),
+    "resolve_input": dict(spec="werner:0.9"),
+    "save_circuit": dict(circuit=CIRCUIT, path=os.devnull),
+    "search": dict(config=isg.GaConfig(population_size=4, generations=1, seed=0),
+                   input_spec="werner:0.9", noise=isg.DEVICE_NOISE),
+    "simulate": dict(circuit=CIRCUIT, inputs="werner:0.9", noise=isg.IDEAL_NOISE),
+    "simulate_collection": dict(config=TRIALS),
+    "sweep_coupling": dict(distances=[3], cycle_times_s=[1e-3], p_c_grid=[1.0], device=DEVICE),
+    "wilson_interval": dict(successes=0, trials=1, z=2.0),
 }
 
 
-@pytest.mark.parametrize("call, field", FLAGS.values(), ids=list(FLAGS))
-def test_every_flag_takes_one_rule(call, field):
-    # True, False and NumPy bools pass; any other value, also a truthy 'false'
-    # or 1 that once acted as True and a falsy 0 that acted as False, raises
-    # ValueError naming the field
-    for bad in ("false", "no", 0, 1, 1.0, None):
-        with pytest.raises(ValueError, match=f"^{field} must be True or False, got "):
-            call(bad)
-    assert call(True) != call(False)
-    for v in (True, False):
-        assert call(np.bool_(v)) == call(v)
+def _low(name: str, param: str, lo: int) -> tuple:
+    """A count one below its lower bound, with its whole message."""
+    words = "non-negative" if lo == 0 else f"at least {lo}"
+    return name, param, lo - 1, f"{param} must be {words}, got {lo - 1}"
 
+
+INPUT_SPEC = "input spec must be 'stephenson', a BellDiagonalState, a 2-qubit"
+# the rest of the walk: (callable, parameter, a bad value, the start of its
+# message) for each parameter whose annotation names no rule, and for the
+# bounds and words that the rules' own bad values do not reach
+EXTRA_ROWS = [
+    *(_low(*row) for row in (
+        ("DeviceParams", "pairs_per_circuit", 2), ("SurgeryQuery", "distance", 1),
+        ("SurgeryQuery", "n_ions", 1), ("GaConfig", "population_size", 2),
+        ("GaConfig", "generations", 1), ("GaConfig", "seed", 0), ("TrialConfig", "n_ions", 1),
+        ("TrialConfig", "attempts", 0), ("TrialConfig", "trials", 1), ("TrialConfig", "seed", 0),
+        ("pairs_required", "distance", 1), ("pairs_required", "pairs_per_circuit", 1),
+        ("pairs_required", "k_multiplex", 1), ("p_onepair", "attempts", 0),
+        ("binomial_tail_geq", "n", 0), ("attempts_required", "n_ions", 0),
+        ("wilson_interval", "trials", 1), ("empirical_min_attempts", "k_star", 1),
+        ("Measure", "pair", 0), ("SingleQubitClifford", "pair", 0),
+        ("TwoQubitGate", "control_pair", 0), ("TwoQubitGate", "target_pair", 0))),
+    # a value outside each real's interval
+    *((name, param, v, f"{param} must ") for name, param, v in (
+        ("DeviceParams", "pulse_rate_hz", -1.0), ("DeviceParams", "p_entangle", 0.0),
+        ("DeviceParams", "p_purify", 1.5), ("DeviceParams", "p_pair_confidence", 1.0),
+        ("DeviceParams", "p_ls_confidence", 0.0), ("DeviceParams", "f_ideal", -0.5),
+        ("SurgeryQuery", "cycle_time_s", 0.0), ("multiplexing_k", "p_purify", 1.5),
+        ("multiplexing_k", "p_pair_confidence", 1.0), ("p_onepair", "p_entangle", -0.1),
+        ("binomial_tail_geq", "p", 1.3), ("attempts_required", "p_entangle", 0.0),
+        ("attempts_required", "p_ls", 0.0), ("TrialConfig", "p_entangle", 1.5),
+        ("wilson_interval", "z", 0.0), ("empirical_min_attempts", "p_entangle", 0.0),
+        ("empirical_attempts_bracket", "p_ls", 1.5), ("NoiseModel", "p1", 1.5),
+        ("NoiseModel", "p2", 1.5), ("NoiseModel", "p_meas", 1.5),
+        ("BellDiagonalState", "f", -0.5), ("BellDiagonalState", "px", -0.5),
+        ("BellDiagonalState", "pz", -0.5), ("BellDiagonalState", "py", -0.5))),
+    # an index outside its range, a count past the one it counts
+    ("clifford_unitary", "index", 24, "index must be 0..23, got 24"),
+    ("SingleQubitClifford", "index", 24, "index must be 0..23, got 24"),
+    ("PurificationCircuit", "n_pairs", 6, "n_pairs must be 2..5, got 6"),
+    ("GaConfig", "n_pairs", 2, "n_pairs must be 3..5, got 2"),
+    ("DensityMatrix", "num_qubits", 11, "num_qubits must be 1..10, got 11"),
+    ("binomial_tail_geq", "k", 2, "k must lie in 0..n+1"),
+    ("wilson_interval", "successes", 2, "successes must lie in 0..trials"),
+    # a word outside its words
+    *((name, param, word, f"{param} must be one of ") for name, param, word in (
+        ("AcceptRule", "relation", "sideways"), ("Measure", "side", "C"),
+        ("Measure", "basis", "W"), ("SingleQubitClifford", "side", "C"),
+        ("TwoQubitGate", "kind", "swap"), ("TwoQubitGate", "side", "C"),
+        ("bell_state", "kind", "phi"), ("fidelity_to_bell", "kind", "phi"))),
+    # the parameters whose annotation names no rule
+    ("DensityMatrix", "entries", "x", "entries must be 4x4 for 2 qubits"),
+    ("DensityMatrix", "entries", [[1, 2], [3]], "entries must be 4x4 for 2 qubits"),
+    ("DensityMatrix", "entries", np.eye(3), "entries must be 4x4 for 2 qubits"),
+    ("PurificationCircuit", "ops", ("x",), "ops must hold op records"),
+    ("PurificationCircuit", "accept", ("x",), "accept must hold AcceptRule records"),
+    ("clifford_index", "u", "x", "unitary not in the Clifford table"),
+    ("clifford_index", "u", np.eye(3), "unitary not in the Clifford table"),
+    ("clifford_index", "u", np.diag([1, np.exp(0.25j * np.pi)]),
+     "unitary not in the Clifford table"),
+    ("resolve_input", "spec", "ghz", "input spec 'ghz' is unknown"),
+    ("resolve_input", "spec", "werner:x", "input spec 'werner:x' is malformed"),
+    ("resolve_input", "spec", [[1, 2], [3]], INPUT_SPEC),
+    ("resolve_input", "spec", [["a"] * 4] * 4, INPUT_SPEC),
+    ("resolve_input", "spec", np.eye(3), INPUT_SPEC),
+    ("resolve_input", "spec", None, INPUT_SPEC),
+    ("resolve_input", "spec", isg.DensityMatrix(1, np.eye(2) / 2),
+     "input state must be a 2-qubit state"),
+    ("search", "input_spec", "ghz", "input spec 'ghz' is unknown"),
+    ("search", "input_spec", np.eye(3), INPUT_SPEC),
+    *((name, "inputs", bad, start) for name in ("simulate", "fitness") for bad, start in (
+        ("ghz", "input spec 'ghz' is unknown"), ([None, None], INPUT_SPEC),
+        (["werner:0.9"] * 3, "inputs must hold 2 input specs, got 3"))),
+    ("benchmark_sweep", "candidates", [], "candidates must be non-empty"),
+    ("benchmark_sweep", "candidates", ["x"], "candidates must be a PurificationCircuit"),
+    ("collection_report", "ks", ["x"], "k must be an integer"),
+    ("device_from_dict", "raw", [], "device must be a JSON object"),
+    ("device_from_dict", "raw", {"N_p": 1}, "N_p must be at least 2, got 1"),
+    *(("device_from_dict", "raw", {"R": v}, "R must ") for v in (*BAD[float], 0.0)),
+    ("sweep_coupling", "distances", [], "distances must be non-empty"),
+    ("sweep_coupling", "distances", [0], "distance must be at least 1, got 0"),
+    ("sweep_coupling", "cycle_times_s", [], "cycle_times_s must be non-empty"),
+    ("sweep_coupling", "cycle_times_s", [0.0], "cycle_time_s must be positive"),
+    ("sweep_coupling", "p_c_grid", [], "p_c_grid must be non-empty"),
+    *(("sweep_coupling", "p_c_grid", [v], "p_c_grid value must ") for v in (*BAD[float], 0.0)),
+]
+EXTRA = {}
+for _name, _param, _bad, _start in EXTRA_ROWS:
+    EXTRA.setdefault((_name, _param), []).append((_bad, _start))
+RULED = [row for row in PARAMETERS if row[:2] not in EXEMPT]
+
+
+def _valid(name: str, param: str) -> dict:
+    """The arguments of the valid call of `name` that `param` varies in."""
+    return VALID.get((name, param), VALID.get(name, {}))
+
+
+def _call(name: str, param: str, value):
+    """The valid call of `name` with `param` set to `value`."""
+    return getattr(isg, name)(**{**_valid(name, param), param: value})
+
+
+def test_every_table_row_names_a_public_parameter():
+    # a stale row would test nothing; every valid call passes
+    known = {row[:2] for row in PARAMETERS}
+    named = set(EXEMPT) | set(EXTRA) | {key for key in VALID if isinstance(key, tuple)}
+    named |= {(key, param) for key, kw in VALID.items() if isinstance(key, str) for param in kw}
+    assert sorted(named - known) == []
+    for key, kw in VALID.items():
+        getattr(isg, key if isinstance(key, str) else key[0])(**kw)
+
+
+@pytest.mark.parametrize("name, param, annotation", RULED,
+                         ids=[f"{name}.{param}" for name, param, _ in RULED])
+def test_every_public_parameter_takes_its_rule(name, param, annotation):
+    # the bad values of the rule its annotation names, and its rows of EXTRA,
+    # each raise ValueError with a message that starts with the field's name;
+    # a parameter with neither has no rule, and fails here
+    cases = [(bad, f"{param} must ") for bad in _rule(annotation)[1]]
+    cases += EXTRA.get((name, param), [])
+    assert cases, f"{name}.{param} takes no rule: annotate it, or give it rows in EXTRA"
+    for bad, start in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+            _call(name, param, bad)
+
+
+def _bits(result) -> bytes:
+    """A result's pickled bytes, an iterator's rows listed: equal bytes are
+    equal values of equal types."""
+    return pickle.dumps(list(result) if isinstance(result, Iterator) else result)
+
+
+PLAIN = [(name, param, kind) for name, param, annotation in RULED
+         if (kind := _rule(annotation)[0]) in (int, float, bool)]
+
+
+@pytest.mark.parametrize("name, param, kind", PLAIN,
+                         ids=[f"{name}.{param}" for name, param, _ in PLAIN])
+def test_numpy_scalars_act_as_plain_values(name, param, kind):
+    # a NumPy integer, float or bool passes wherever its plain value does and
+    # acts as it, bit for bit, down to the type of a stored field; an integer
+    # passes as a real; a flag's two values give different results
+    default = inspect.signature(getattr(isg, name)).parameters[param].default
+    good = _valid(name, param).get(param, default)
+    want = _bits(_call(name, param, good))
+    if kind is bool:
+        same = [np.bool_(good)]
+        assert _bits(_call(name, param, not good)) != want
+    elif kind is int:
+        same = [np.int64(good), np.int32(good), *([np.uint8(good)] if 0 <= good < 256 else [])]
+    else:
+        same = [np.float64(good), *([np.float32(good)] if np.float32(good) == good else []),
+                *([int(good)] if good % 1 == 0 else [])]
+    for v in same:
+        assert _bits(_call(name, param, v)) == want
+
+
+def test_numpy_scalars_act_as_plain_values_inside_dicts_and_grids():
+    # a device dict's values and the sweep's grid values take the same rules:
+    # NumPy scalars and integers pass and act as the plain value; the sweep's
+    # rows keep each grid value as given
+    want = _bits(isg.device_from_dict({"R": 2e6, "N_p": 3}))
+    for r in (np.float64(2e6), np.float32(2e6), 2000000):
+        assert _bits(isg.device_from_dict({"R": r, "N_p": np.int64(3)})) == want
+    want = list(isg.sweep_coupling([3], [1e-3], [1.0], DEVICE))
+    for pc in (np.float64(1.0), np.float32(1.0), 1):
+        assert list(isg.sweep_coupling([np.int64(3)], [np.float64(1e-3)], [pc], DEVICE)) == want

@@ -204,6 +204,20 @@ def test_file_round_trip(tmp_path):
     assert kinds.count("measure") == 2
 
 
+def test_a_rejected_circuit_leaves_the_file_alone(tmp_path):
+    # the record rule runs before the file is opened: an existing file keeps
+    # its bytes, and a missing one is not created
+    path, missing = tmp_path / "c.json", tmp_path / "missing.json"
+    isg.save_circuit(isg.dejmps_circuit(), path)
+    before = path.read_bytes()
+    for bad in (None, "x"):
+        for target in (path, missing):
+            with pytest.raises(ValueError, match="^circuit must be a PurificationCircuit, got "):
+                isg.save_circuit(bad, target)
+    assert path.read_bytes() == before
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("path", sorted(CIRCUITS.glob("*.json")), ids=lambda p: p.name)
 def test_frozen_circuits_resave_byte_for_byte(tmp_path, path):
     # between them the files hold every op kind, so this pins each kind's key order
